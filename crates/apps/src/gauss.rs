@@ -286,8 +286,9 @@ pub fn gauss_program(a: &SharedMatrix<f64>, piv: &SharedMatrix<f64>, steps: usiz
 }
 
 /// Runs the elimination from the plan `rsdcomp::compile` generates for
-/// [`gauss_program`]: the application supplies only the numeric bodies,
-/// keyed by phase name and the plan step's iteration number; every
+/// [`gauss_program`], compiled once per run and shared by every processor
+/// (`rsdcomp::compile_shared`): the application supplies only the numeric
+/// bodies, keyed by phase name and the plan step's iteration number; every
 /// data-movement decision — including the per-iteration producer and
 /// consumer sets of the pivot broadcast — is the compiler's.
 fn gauss_compiled(
@@ -300,8 +301,8 @@ fn gauss_compiled(
     let nprocs = p.nprocs();
     let me = p.proc_id();
     let program = gauss_program(a, piv, iters);
-    let kernel = rsdcomp::compile(&program, nprocs);
-    let plan = kernel.plan_for(me).clone();
+    let kernel = rsdcomp::compile_shared(&program, nprocs);
+    let plan = kernel.plan_for(me);
     let phases = program.phases();
 
     let mine = col_block(cols, nprocs, me);

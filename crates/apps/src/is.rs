@@ -292,11 +292,12 @@ pub fn is_program(keys: &SharedMatrix<u64>, hist: &SharedMatrix<u64>, iters: usi
 }
 
 /// Runs integer sort from the plan `rsdcomp::compile` generates for
-/// [`is_program`]: the application supplies only the numeric bodies; the
-/// acquire (with its piggybacked section validation), the release and the
-/// single rank barrier all come from the plan. Message-for-message
-/// identical to the hand-written `Push` variant — the test suite pins the
-/// equality.
+/// [`is_program`], compiled once per run and shared by every processor
+/// (`rsdcomp::compile_shared`): the application supplies only the numeric
+/// bodies; the acquire (with its piggybacked section validation), the
+/// release and the single rank barrier all come from the plan.
+/// Message-for-message identical to the hand-written `Push` variant — the
+/// test suite pins the equality.
 fn is_compiled(
     p: &mut Process,
     cfg: &GridConfig,
@@ -307,8 +308,8 @@ fn is_compiled(
     let nprocs = p.nprocs();
     let me = p.proc_id();
     let program = is_program(keys, hist, iters);
-    let kernel = rsdcomp::compile(&program, nprocs);
-    let plan = kernel.plan_for(me).clone();
+    let kernel = rsdcomp::compile_shared(&program, nprocs);
+    let plan = kernel.plan_for(me);
     let phases = program.phases();
 
     let bins = rows * cols;

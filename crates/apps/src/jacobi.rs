@@ -233,8 +233,9 @@ pub fn jacobi_program(a: &SharedMatrix<f64>, b: &SharedMatrix<f64>, iters: usize
 }
 
 /// Runs Jacobi from the plan `rsdcomp::compile` generates for
-/// [`jacobi_program`]: the application supplies only the numeric bodies
-/// (seeding and [`sweep_cols`]); every data-movement decision is the
+/// [`jacobi_program`], compiled once per run and shared by every processor
+/// (`rsdcomp::compile_shared`): the application supplies only the numeric
+/// bodies (seeding and [`sweep_cols`]); every data-movement decision is the
 /// compiler's.
 fn jacobi_compiled(
     p: &mut Process,
@@ -246,8 +247,8 @@ fn jacobi_compiled(
     let nprocs = p.nprocs();
     let me = p.proc_id();
     let program = jacobi_program(a, b, iters);
-    let kernel = rsdcomp::compile(&program, nprocs);
-    let plan = kernel.plan_for(me).clone();
+    let kernel = rsdcomp::compile_shared(&program, nprocs);
+    let plan = kernel.plan_for(me);
     let phases = program.phases();
 
     let mine = col_block(cols, nprocs, me);

@@ -19,7 +19,10 @@
 //!   phase bodies. The analyzer eliminates barriers where the dependences
 //!   allow (Jacobi compiles to pure pushes; SOR keeps one real barrier per
 //!   iteration for the GC horizon and replaces the other with a
-//!   point-to-point merged data+sync exchange).
+//!   point-to-point merged data+sync exchange). The compile happens once
+//!   per run, not once per processor: SPMD allocation gives every
+//!   processor the same program, and `rsdcomp::compile_shared` hands all
+//!   of them one shared kernel, from which each borrows its own plan.
 //!
 //! All variants execute the identical floating-point operations, so their
 //! per-processor checksums are bit-for-bit equal — which is how the tests

@@ -271,17 +271,18 @@ pub fn sor_program(m: &SharedMatrix<f64>, iters: usize) -> Program {
     }
 }
 
-/// Runs SOR from the plan `rsdcomp::compile` generates for [`sor_program`]:
-/// the application supplies only the numeric bodies (seeding and
-/// [`relax_cols`]); every synchronization, fetch, push, write-preparation
-/// and warm decision is the compiler's.
+/// Runs SOR from the plan `rsdcomp::compile` generates for [`sor_program`],
+/// compiled once per run and shared by every processor
+/// (`rsdcomp::compile_shared`): the application supplies only the numeric
+/// bodies (seeding and [`relax_cols`]); every synchronization, fetch, push,
+/// write-preparation and warm decision is the compiler's.
 fn sor_compiled(p: &mut Process, cfg: &GridConfig, m: &SharedMatrix<f64>) -> f64 {
     let GridConfig { rows, cols, iters } = *cfg;
     let nprocs = p.nprocs();
     let me = p.proc_id();
     let program = sor_program(m, iters);
-    let kernel = rsdcomp::compile(&program, nprocs);
-    let plan = kernel.plan_for(me).clone();
+    let kernel = rsdcomp::compile_shared(&program, nprocs);
+    let plan = kernel.plan_for(me);
     let phases = program.phases();
 
     let mine = col_block(cols, nprocs, me);

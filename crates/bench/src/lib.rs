@@ -63,6 +63,7 @@ use dsm_apps::{
     Variant,
 };
 use pagedmem::Addr;
+use rsdcomp::Program;
 use sp2model::{CostModel, StatsSnapshot};
 use treadmarks::{BarrierTopology, Dsm, DsmConfig, NetFaults, SharedArray, SharedMatrix};
 
@@ -734,48 +735,35 @@ pub fn check_chaos(records: &[ChaosBenchRecord]) -> Result<(), String> {
     }
 }
 
-/// The `--explain` dump for one kernel: builds the kernel's IR at the
-/// standard suite size (arrays laid out exactly as the SPMD allocator lays
-/// them out: page-aligned, in allocation order), compiles it for the
-/// paper's 8 processors and renders the plan. Pure and deterministic.
+/// `app`'s program at `cfg`, with the arrays laid out exactly as the SPMD
+/// allocator lays them out (page-aligned, in allocation order, from the
+/// heap base) — the key every processor of a compiled run builds. Pure.
 /// Returns `None` for an unknown app name.
+pub fn kernel_program(app: &str, cfg: &GridConfig) -> Option<Program> {
+    let elems = cfg.rows * cfg.cols;
+    let second = Addr::new(elems * 8).page_align_up();
+    let f64s = |base| SharedMatrix::new(SharedArray::<f64>::new(base, elems), cfg.rows, cfg.cols);
+    let u64s = |base| SharedMatrix::new(SharedArray::<u64>::new(base, elems), cfg.rows, cfg.cols);
+    Some(match app {
+        "jacobi" => jacobi_program(&f64s(Addr::ZERO), &f64s(second), cfg.iters),
+        "sor" => sor_program(&f64s(Addr::ZERO), cfg.iters),
+        "is" => is_program(&u64s(Addr::ZERO), &u64s(second), cfg.iters),
+        "gauss" => gauss_program(&f64s(Addr::ZERO), &f64s(second), cfg.iters),
+        _ => return None,
+    })
+}
+
+/// The `--explain` dump for one kernel: builds the kernel's IR at the
+/// standard suite size ([`kernel_program`]), compiles it for the paper's
+/// 8 processors and renders the plan. Pure and deterministic. Returns
+/// `None` for an unknown app name.
 pub fn explain_app(app: &str) -> Option<String> {
     /// The paper's cluster size, used for every explain dump.
     const EXPLAIN_NPROCS: usize = 8;
-    let matrix = |cfg: &GridConfig, base: Addr| {
-        SharedMatrix::new(SharedArray::<f64>::new(base, cfg.rows * cfg.cols), cfg.rows, cfg.cols)
-    };
-    let program = match app {
-        "jacobi" => {
-            let cfg = JACOBI_CFG;
-            let a = matrix(&cfg, Addr::ZERO);
-            let b = matrix(&cfg, Addr::new(cfg.rows * cfg.cols * 8).page_align_up());
-            jacobi_program(&a, &b, cfg.iters)
-        }
-        "sor" => {
-            let cfg = SOR_CFG;
-            sor_program(&matrix(&cfg, Addr::ZERO), cfg.iters)
-        }
-        "is" => {
-            let cfg = IS_CFG;
-            let elems = cfg.rows * cfg.cols;
-            let keys =
-                SharedMatrix::new(SharedArray::<u64>::new(Addr::ZERO, elems), cfg.rows, cfg.cols);
-            let hist = SharedMatrix::new(
-                SharedArray::<u64>::new(Addr::new(elems * 8).page_align_up(), elems),
-                cfg.rows,
-                cfg.cols,
-            );
-            is_program(&keys, &hist, cfg.iters)
-        }
-        "gauss" => {
-            let cfg = GAUSS_CFG;
-            let a = matrix(&cfg, Addr::ZERO);
-            let piv = matrix(&cfg, Addr::new(cfg.rows * cfg.cols * 8).page_align_up());
-            gauss_program(&a, &piv, cfg.iters)
-        }
-        _ => return None,
-    };
+    if !APPS.contains(&app) {
+        return None;
+    }
+    let program = kernel_program(app, &standard_cfg(app))?;
     let kernel = rsdcomp::compile(&program, EXPLAIN_NPROCS);
     Some(rsdcomp::explain(&program, &kernel))
 }
@@ -1121,17 +1109,61 @@ mod tests {
 
     #[test]
     fn explain_dumps_are_deterministic_and_cover_every_kernel() {
-        for app in APPS {
-            let a = explain_app(app).expect("known kernel");
-            let b = explain_app(app).expect("known kernel");
-            assert_eq!(a, b, "{app} explain must be byte-deterministic");
-            assert!(a.contains("totals:"));
+        // Golden bytes: the dumps are pure functions of the kernels' IR and
+        // the compiler, so any change to either that alters a classification,
+        // a neighbour set or a message count shows up here.
+        let golden = [
+            ("jacobi", include_str!("../golden/explain_jacobi.txt")),
+            ("sor", include_str!("../golden/explain_sor.txt")),
+            ("is", include_str!("../golden/explain_is.txt")),
+            ("gauss", include_str!("../golden/explain_gauss.txt")),
+        ];
+        for (app, expected) in golden {
+            assert_eq!(explain_app(app).expect("known kernel"), expected, "{app} explain dump");
         }
-        assert!(explain_app("sor").expect("sor").contains("eliminated-barrier"));
-        assert!(explain_app("jacobi").expect("jacobi").contains("push"));
-        assert!(explain_app("is").expect("is").contains("lock"));
-        assert!(explain_app("gauss").expect("gauss").contains("push"));
         assert!(explain_app("nope").is_none());
+    }
+
+    /// FNV-1a (64-bit) continued from `hash`: stable across toolchains,
+    /// unlike `DefaultHasher`.
+    fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+        for &b in bytes {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        hash
+    }
+
+    #[test]
+    fn compiled_kernels_match_their_pinned_digests() {
+        // Every field of every compiled kernel — boundary classes,
+        // refusals, per-processor plans with the push regions and
+        // neighbour sets the dependence pairs become — across cluster
+        // sizes from 1 to 128 and, per size, an evenly and an unevenly
+        // divided column count. The analysis may get cheaper; its output
+        // may not change by a byte.
+        const NPROCS: [usize; 10] = [1, 2, 3, 4, 5, 8, 16, 32, 64, 128];
+        const PINNED: [(&str, u64); 4] = [
+            ("jacobi", 0x0169_afa4_2170_2af0),
+            ("sor", 0xe224_4ab8_b5da_c28f),
+            ("is", 0xa80d_1e0c_ec86_5f22),
+            ("gauss", 0xf3d3_692b_44dc_d9cd),
+        ];
+        let digests = PINNED.map(|(app, _)| {
+            let base = scale_cfg(app);
+            let mut digest = 0xcbf2_9ce4_8422_2325;
+            for nprocs in NPROCS {
+                let even = (2 * nprocs).max(32);
+                let uneven = (even + 1..).find(|c| nprocs == 1 || c % nprocs != 0).expect("some");
+                for cols in [even, uneven] {
+                    let program =
+                        kernel_program(app, &GridConfig { cols, ..base }).expect("kernel");
+                    let dump = format!("{:?}", rsdcomp::compile(&program, nprocs));
+                    digest = fnv1a(digest, dump.as_bytes());
+                }
+            }
+            (app, digest)
+        });
+        assert_eq!(digests, PINNED, "compiled output changed");
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!   [`Refusal`] recording why the analyzer declined to optimize. Refusal
 //!   is always sound: the full barrier preserves every happens-before edge.
 
-use pagedmem::AddrRange;
+use pagedmem::{Addr, AddrRange};
 use treadmarks::{LockId, ProcId};
 
 use crate::ir::{Access, ColSpan, Phase, Program};
@@ -199,12 +199,20 @@ fn lower(program: &Program, nprocs: usize, me: ProcId, phase: &Phase, iter: usiz
 /// carries all of the producer's notices to that consumer); a push clears
 /// nothing (it moves bytes, not notices — conservative, and harmless
 /// because re-pushing current bytes is idempotent).
+///
+/// Every write of `p` is pending for every other processor until cleared,
+/// so the state is one append-only log per producer rather than a P×P
+/// matrix of copies: the writes of `p` pending for `q` are the log entries
+/// from `q`'s watermark on that lock acquires have not cleared.
 #[derive(Debug, Clone)]
 pub struct PendingWrites {
-    nprocs: usize,
-    /// `unseen[p * nprocs + q]`: writes of `p` that `q` has no consistency
-    /// information for.
-    unseen: Vec<Vec<WriteEntry>>,
+    /// `log[p]`: every write of `p` since the last full barrier, in
+    /// execution order.
+    log: Vec<Vec<Logged>>,
+    /// `seen[p]`: `(q, w)` — `q` has consistency information for
+    /// `log[p][..w]` (an eliminated barrier's ack); a consumer absent from
+    /// the list has none. Acks name neighbours, so the lists stay short.
+    seen: Vec<Vec<(ProcId, usize)>>,
     /// A non-affine write is pending: its extent is unknowable, so every
     /// boundary until the next full barrier must refuse.
     unknown: bool,
@@ -215,12 +223,20 @@ pub struct PendingWrites {
     overlap: bool,
 }
 
+/// One entry of a producer's write log.
+#[derive(Debug, Clone, Copy)]
+struct Logged {
+    write: WriteEntry,
+    /// A lock acquire delivered the write to every processor.
+    lock_cleared: bool,
+}
+
 impl PendingWrites {
     /// No pending writes (program start).
     pub fn new(nprocs: usize) -> PendingWrites {
         PendingWrites {
-            nprocs,
-            unseen: vec![Vec::new(); nprocs * nprocs],
+            log: vec![Vec::new(); nprocs],
+            seen: vec![Vec::new(); nprocs],
             unknown: false,
             overlap: false,
         }
@@ -231,38 +247,27 @@ impl PendingWrites {
     /// recording non-affine writes and unordered cross-processor write
     /// overlaps as sticky refusal conditions.
     pub fn add_phase_writes(&mut self, program: &Program, phase: &Phase, iter: usize) {
-        let nprocs = self.nprocs;
+        let nprocs = self.log.len();
         let lowered: Vec<Lowered> =
             (0..nprocs).map(|me| lower(program, nprocs, me, phase, iter)).collect();
         self.unknown |=
             phase.accesses.iter().any(|a| a.span == ColSpan::Unknown && a.access.is_write());
-        for p in 0..nprocs {
-            for q in p + 1..nprocs {
-                self.overlap |= lowered[p].writes.iter().any(|wp| {
-                    lowered[q].writes.iter().any(|wq| {
-                        wp.range.intersect(&wq.range).is_some()
-                            && (wp.lock.is_none() || wp.lock != wq.lock)
-                    })
-                });
-            }
+        // Every write of one phase carries the phase's lock, and the acquire
+        // chain orders overlapping writes under the same lock: only an
+        // unguarded phase can overlap.
+        if phase.lock.is_none() && !self.overlap {
+            self.overlap = cross_processor_overlap(&lowered);
         }
-        for (p, l) in lowered.iter().enumerate() {
-            if l.writes.is_empty() {
-                continue;
-            }
-            for q in 0..nprocs {
-                if q == p {
-                    continue;
-                }
-                self.unseen[p * nprocs + q].extend(l.writes.iter().copied());
-            }
+        for (log, l) in self.log.iter_mut().zip(lowered) {
+            log.extend(l.writes.into_iter().map(|write| Logged { write, lock_cleared: false }));
         }
     }
 
     /// A full barrier: every processor receives every notice.
     pub fn clear_all(&mut self) {
-        for v in &mut self.unseen {
-            v.clear();
+        for (log, seen) in self.log.iter_mut().zip(&mut self.seen) {
+            log.clear();
+            seen.clear();
         }
         self.unknown = false;
         self.overlap = false;
@@ -271,7 +276,12 @@ impl PendingWrites {
     /// An eliminated barrier's ack: `consumer` received all of
     /// `producer`'s notices.
     pub fn clear_pair(&mut self, producer: ProcId, consumer: ProcId) {
-        self.unseen[producer * self.nprocs + consumer].clear();
+        let watermark = self.log[producer].len();
+        let seen = &mut self.seen[producer];
+        match seen.iter_mut().find(|(q, _)| *q == consumer) {
+            Some((_, w)) => *w = watermark,
+            None => seen.push((consumer, watermark)),
+        }
     }
 
     /// A lock acquire: writes made inside phases guarded by `lock` clear
@@ -282,9 +292,86 @@ impl PendingWrites {
     /// the chain has delivered it the notices of every earlier guarded
     /// write, whichever processors made them.
     pub fn clear_lock(&mut self, lock: LockId) {
-        for v in &mut self.unseen {
-            v.retain(|w| w.lock != Some(lock));
+        for entry in self.log.iter_mut().flatten() {
+            entry.lock_cleared |= entry.write.lock == Some(lock);
         }
+    }
+
+    /// The position in `producer`'s log from which its writes are still
+    /// pending for `consumer`.
+    fn unseen_from(&self, producer: ProcId, consumer: ProcId) -> usize {
+        self.seen[producer].iter().find(|(q, _)| *q == consumer).map_or(0, |&(_, w)| w)
+    }
+}
+
+/// Whether writes of two *different* processors intersect, by one sweep
+/// over the ranges sorted by start address carrying the furthest end
+/// reached so far. A range intersects an earlier one of another processor
+/// only if the furthest-reaching earlier range passes its start. When that
+/// range is the same processor's, any other processor's range passing the
+/// start overlaps it too — an earlier overlap the sweep already returned.
+fn cross_processor_overlap(lowered: &[Lowered]) -> bool {
+    let mut ranges: Vec<(Addr, Addr, ProcId)> = lowered
+        .iter()
+        .enumerate()
+        .flat_map(|(p, l)| l.writes.iter().map(move |w| (w.range.start(), w.range.end(), p)))
+        .filter(|&(start, end, _)| start < end)
+        .collect();
+    ranges.sort_unstable();
+    let mut furthest: Option<(Addr, ProcId)> = None;
+    for (start, end, p) in ranges {
+        match furthest {
+            Some((reach, owner)) if owner != p && start < reach => return true,
+            Some((reach, _)) if end <= reach => {}
+            _ => furthest = Some((end, p)),
+        }
+    }
+    false
+}
+
+/// The pending writes sorted by start address, with the running maximum of
+/// their ends: a read `[s, e)` can only intersect entries that start before
+/// `e`, and scanning those backwards can stop as soon as no earlier entry
+/// reaches past `s`.
+struct WriteIndex {
+    /// `(producer, log position, write)` of every pending write.
+    entries: Vec<(ProcId, usize, WriteEntry)>,
+    /// `reach[i]`: the furthest end among `entries[..=i]`.
+    reach: Vec<Addr>,
+}
+
+impl WriteIndex {
+    fn new(pending: &PendingWrites) -> WriteIndex {
+        let mut entries: Vec<(ProcId, usize, WriteEntry)> = Vec::new();
+        for (p, log) in pending.log.iter().enumerate() {
+            for (pos, e) in log.iter().enumerate() {
+                if !e.lock_cleared && !e.write.range.is_empty() {
+                    entries.push((p, pos, e.write));
+                }
+            }
+        }
+        entries.sort_by_key(|(.., w)| w.range.start());
+        let mut furthest = Addr::ZERO;
+        let reach = entries
+            .iter()
+            .map(|(.., w)| {
+                furthest = furthest.max(w.range.end());
+                furthest
+            })
+            .collect();
+        WriteIndex { entries, reach }
+    }
+
+    /// The entries that may intersect `read` — a superset of the ones that
+    /// do.
+    fn near(&self, read: AddrRange) -> impl Iterator<Item = &(ProcId, usize, WriteEntry)> {
+        let before_end = self.entries.partition_point(|(.., w)| w.range.start() < read.end());
+        self.entries[..before_end]
+            .iter()
+            .zip(&self.reach[..before_end])
+            .rev()
+            .take_while(move |(_, &reach)| reach > read.start())
+            .map(|(entry, _)| entry)
     }
 }
 
@@ -314,35 +401,40 @@ pub fn classify_against_pending(
         return refuse(Refusal::OverlappingWrites);
     }
     // Flow dependences: accumulated unsynchronized writes ∩ consumer reads,
-    // per ordered pair.
-    let mut pairs = Vec::new();
+    // per ordered pair. Consumers are visited in ascending order, so each
+    // producer's pairs come out consumer-ascending and their concatenation
+    // is producer-major.
+    let index = WriteIndex::new(pending);
+    let mut by_producer: Vec<Vec<DepPair>> = vec![Vec::new(); nprocs];
     let mut all_pushable = true;
     let mut any_cross_block = false;
-    let mut all_neighbours = true;
     let mut any_locked = false;
-    for producer in 0..nprocs {
-        for (consumer, consumed) in nexts.iter().enumerate() {
-            if producer == consumer {
-                continue;
-            }
-            let mut regions = Vec::new();
-            for write in &pending.unseen[producer * nprocs + consumer] {
-                for &(read, via_all) in &consumed.reads {
-                    if let Some(region) = write.range.intersect(&read) {
-                        regions.push(region);
-                        all_pushable &= write.pure_write_all;
-                        any_cross_block |= via_all;
-                        any_locked |= write.lock.is_some();
-                    }
+    for (consumer, consumed) in nexts.iter().enumerate() {
+        for &(read, via_all) in &consumed.reads {
+            for &(producer, pos, write) in index.near(read) {
+                if producer == consumer || pos < pending.unseen_from(producer, consumer) {
+                    continue;
+                }
+                let Some(region) = write.range.intersect(&read) else {
+                    continue;
+                };
+                all_pushable &= write.pure_write_all;
+                any_cross_block |= via_all;
+                any_locked |= write.lock.is_some();
+                let pairs = &mut by_producer[producer];
+                match pairs.last_mut() {
+                    Some(pair) if pair.consumer == consumer => pair.regions.push(region),
+                    _ => pairs.push(DepPair { producer, consumer, regions: vec![region] }),
                 }
             }
-            if regions.is_empty() {
-                continue;
-            }
-            all_neighbours &= producer.abs_diff(consumer) == 1;
-            pairs.push(DepPair { producer, consumer, regions: AddrRange::coalesce(regions) });
         }
     }
+    let pairs: Vec<DepPair> = by_producer
+        .into_iter()
+        .flatten()
+        .map(|pair| DepPair { regions: AddrRange::coalesce(pair.regions), ..pair })
+        .collect();
+    let all_neighbours = pairs.iter().all(|d| d.producer.abs_diff(d.consumer) == 1);
     if pairs.is_empty() {
         return BoundaryAnalysis {
             class: match next.lock {

@@ -7,7 +7,8 @@
 //! ([`analyze_boundary`] → [`BoundaryClass`]), and a plan generator
 //! ([`compile`]) that lowers the classified program to the exact sequence
 //! of `ctrt` calls each processor executes ([`ProcPlan`], run through
-//! [`exec`]).
+//! [`exec`]). [`compile_shared`] puts a process-wide memo in front of
+//! `compile`, so the processors of one SPMD run share a single compile.
 //!
 //! The classification ladder, most to least optimized:
 //!
@@ -57,6 +58,7 @@ pub mod exec;
 mod explain;
 mod ir;
 mod plan;
+mod shared;
 
 pub use analysis::{
     analyze_boundary, classify_against_pending, BoundaryAnalysis, BoundaryClass, DepPair,
@@ -70,4 +72,5 @@ pub use ir::{
 };
 pub use pagedmem::AddrRange;
 pub use plan::{compile, BoundaryOp, BoundarySummary, CompiledKernel, PlanStep, ProcPlan};
+pub use shared::compile_shared;
 pub use treadmarks::LockId;

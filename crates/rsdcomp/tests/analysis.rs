@@ -4,8 +4,9 @@
 
 use pagedmem::Addr;
 use rsdcomp::{
-    analyze_boundary, col_block, compile, Access, ArrayDecl, BoundaryClass, BoundaryOp, ColSpan,
-    Node, Phase, Program, Refusal, SectionAccess,
+    analyze_boundary, classify_against_pending, col_block, compile, Access, ArrayDecl,
+    BoundaryClass, BoundaryOp, ColSpan, Node, PendingWrites, Phase, Program, Refusal,
+    SectionAccess,
 };
 
 const ROWS: usize = 512;
@@ -97,6 +98,84 @@ fn overlapping_write_sections_refuse_elimination() {
         analysis.class,
         BoundaryClass::FullBarrier { refusal: Some(Refusal::OverlappingWrites), gc_forced: false }
     );
+}
+
+#[test]
+fn only_cross_processor_write_overlaps_refuse() {
+    // Each processor writes its own block twice over and its blocks touch
+    // its neighbours' without overlapping: the output is order-independent.
+    let own_twice = Phase::new(
+        "own",
+        vec![
+            SectionAccess::new(0, ColSpan::OwnBlock, Access::Write),
+            SectionAccess::new(0, ColSpan::UpdateBlock, Access::Write),
+        ],
+    );
+    let reader =
+        Phase::new("read", vec![SectionAccess::new(0, ColSpan::UpdateHalo(1), Access::Read)]);
+    let program = Program {
+        arrays: vec![decl("m", 0)],
+        nodes: vec![Node::Phase(own_twice), Node::Phase(reader)],
+    };
+    let phases = program.phases();
+    for nprocs in [2, 3, 4, 8] {
+        let analysis = analyze_boundary(&program, nprocs, phases[0], phases[1]);
+        assert_eq!(analysis.class, BoundaryClass::EliminatedBarrier, "at {nprocs} procs");
+    }
+}
+
+#[test]
+fn pending_writes_clear_per_pair_per_lock_and_at_barriers() {
+    const LOCK: u32 = 3;
+    let write = |name, lock| Phase {
+        name,
+        accesses: vec![SectionAccess::new(0, ColSpan::OwnBlock, Access::ReadWrite)],
+        lock,
+    };
+    let program = Program {
+        arrays: vec![decl("m", 0)],
+        nodes: vec![
+            Node::Phase(write("plain", None)),
+            Node::Phase(write("guarded", Some(LOCK))),
+            Node::Phase(Phase::new(
+                "read",
+                vec![SectionAccess::new(0, ColSpan::UpdateHalo(1), Access::Read)],
+            )),
+        ],
+    };
+    let phases = program.phases();
+    let pairs = |pending: &PendingWrites| -> Vec<(usize, usize)> {
+        classify_against_pending(&program, 4, pending, phases[2], 0)
+            .pairs
+            .iter()
+            .map(|d| (d.producer, d.consumer))
+            .collect()
+    };
+    let neighbours = vec![(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)];
+
+    let mut pending = PendingWrites::new(4);
+    pending.add_phase_writes(&program, phases[0], 0);
+    assert_eq!(pairs(&pending), neighbours, "producer-major, consumer-ascending");
+    // An ack delivers one producer's notices to one consumer...
+    pending.clear_pair(1, 2);
+    assert_eq!(pairs(&pending), [(0, 1), (1, 0), (2, 1), (2, 3), (3, 2)]);
+    // ...as of the ack only: later writes are pending again.
+    pending.add_phase_writes(&program, phases[0], 0);
+    assert_eq!(pairs(&pending), neighbours);
+    pending.clear_all();
+    assert!(pairs(&pending).is_empty());
+
+    // A lock acquire clears exactly the writes made under that lock.
+    pending.add_phase_writes(&program, phases[1], 0);
+    assert_eq!(pairs(&pending), neighbours);
+    pending.clear_lock(LOCK + 1);
+    assert_eq!(pairs(&pending), neighbours, "another lock's acquire delivers nothing");
+    pending.clear_lock(LOCK);
+    assert!(pairs(&pending).is_empty());
+    pending.add_phase_writes(&program, phases[0], 0);
+    pending.add_phase_writes(&program, phases[1], 0);
+    pending.clear_lock(LOCK);
+    assert_eq!(pairs(&pending), neighbours, "unguarded writes survive the acquire");
 }
 
 #[test]
