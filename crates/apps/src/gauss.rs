@@ -18,10 +18,8 @@
 //! classifies every step as `Push` with an iteration-dependent consumer
 //! set and runs the whole elimination without a single barrier.
 
-use ctrt::{
-    push_phase, validate, validate_w_sync, warm_sections, Access, Push, RegularSection, SyncOp,
-};
-use rsdcomp::{ArrayDecl, ColSpan, Node, Phase, Program, SectionAccess};
+use ctrt::{push_phase, validate, warm_sections, Access, Push, RegularSection};
+use rsdcomp::{ArrayDecl, ColSpan, Node, Phase, Policy, Program, SectionAccess};
 use treadmarks::{Process, SharedMatrix};
 
 use crate::{col_block, col_elems, mix64, seed, GridConfig, Variant};
@@ -123,9 +121,12 @@ pub fn gauss(p: &mut Process, cfg: &GridConfig, variant: Variant) -> u64 {
     assert!(iters < rows && iters < cols, "one elimination step per leading column");
     let a = p.alloc_matrix::<f64>(rows, cols);
     let piv = p.alloc_matrix::<f64>(rows, cols);
-    if variant == Variant::Compiled {
-        return gauss_compiled(p, cfg, &a, &piv);
+    if let Some(policy) = variant.policy() {
+        return gauss_compiled(p, cfg, &a, &piv, policy);
     }
+    // The hand-written forms: the TreadMarks baseline and the
+    // hand-analyzed Push form the compiler is tested against.
+    let push = variant == Variant::Push;
     let me = p.proc_id();
     let mine = col_block(cols, nprocs, me);
     let mut abuf = vec![0.0f64; rows];
@@ -133,113 +134,81 @@ pub fn gauss(p: &mut Process, cfg: &GridConfig, variant: Variant) -> u64 {
 
     // Initialise only `a`: the pivot phase fully overwrites its column of
     // `piv` before anyone reads it, so `piv` needs no initialisation (and
-    // initialising it would create a spurious dependence).
-    match variant {
-        Variant::TreadMarks => {
-            for j in mine.clone() {
-                for i in 0..rows {
-                    p.set(a.array(), a.index(i, j), seed_elem(i, j));
-                }
+    // initialising it would create a spurious dependence). No boundary
+    // follows: the first pivot phase reads only its owner's own column.
+    if push {
+        validate(p, &[RegularSection::matrix_cols(&a, mine.clone(), Access::WriteAll)]);
+        for j in mine.clone() {
+            for (i, slot) in abuf.iter_mut().enumerate() {
+                *slot = seed_elem(i, j);
+            }
+            p.set_slice(a.array(), col_elems(&a, j), &abuf);
+        }
+    } else {
+        for j in mine.clone() {
+            for i in 0..rows {
+                p.set(a.array(), a.index(i, j), seed_elem(i, j));
             }
         }
-        Variant::Validate | Variant::Push => {
-            validate(p, &[RegularSection::matrix_cols(&a, mine.clone(), Access::WriteAll)]);
-            for j in mine.clone() {
-                for (i, slot) in abuf.iter_mut().enumerate() {
-                    *slot = seed_elem(i, j);
-                }
-                p.set_slice(a.array(), col_elems(&a, j), &abuf);
-            }
-        }
-        Variant::Compiled => unreachable!("the compiled form returned above"),
     }
-    // No boundary needed after init in any variant: the first pivot phase
-    // reads only its owner's own column.
 
     for k in 0..iters {
         let is_owner = mine.contains(&k);
         let tail = mine.start.max(k + 1).min(mine.end)..mine.end;
-        match variant {
-            // The baseline: per-element checked accesses, one barrier per
-            // elimination step between the pivot computation and the
-            // updates that consume it.
-            Variant::TreadMarks => {
-                if is_owner {
-                    let akk = p.get(a.array(), a.index(k, k));
-                    for i in 0..rows {
-                        let v = if i > k { p.get(a.array(), a.index(i, k)) / akk } else { 0.0 };
-                        p.set(piv.array(), piv.index(i, k), v);
-                    }
-                }
-                p.barrier();
-                for j in tail.clone() {
-                    let akj = p.get(a.array(), a.index(k, j));
-                    for i in k + 1..rows {
-                        let v = p.get(a.array(), a.index(i, j))
-                            - p.get(piv.array(), piv.index(i, k)) * akj;
-                        p.set(a.array(), a.index(i, j), v);
-                    }
-                }
-            }
-            // Sections declared up front, the pivot fetch merged with the
-            // step's barrier, bulk accessors throughout.
-            Variant::Validate => {
-                if is_owner {
-                    validate(
-                        p,
-                        &[
-                            RegularSection::matrix_cols(&a, k..k + 1, Access::Read),
-                            RegularSection::matrix_cols(&piv, k..k + 1, Access::WriteAll),
-                        ],
-                    );
-                    pivot_col(p, &a, &piv, k, &mut abuf, &mut pbuf);
-                }
-                let mut sections = Vec::new();
-                if !tail.is_empty() {
-                    sections.push(RegularSection::matrix_cols(&piv, k..k + 1, Access::Read));
-                    sections.push(RegularSection::matrix_cols(&a, tail.clone(), Access::ReadWrite));
-                }
-                validate_w_sync(p, SyncOp::Barrier, &sections);
-                update_cols(p, &a, &piv, k, tail.clone(), &mut abuf, &mut pbuf);
-            }
+        if push {
             // The hand-analyzed form the compiler must match: the owner
             // pushes the pivot column point-to-point to exactly the
             // processors still holding columns past `k`. No barriers at
             // all — the push's happens-before edge is the only ordering an
             // elimination step needs.
-            Variant::Push => {
-                if is_owner {
-                    validate(
-                        p,
-                        &[
-                            RegularSection::matrix_cols(&a, k..k + 1, Access::Read),
-                            RegularSection::matrix_cols(&piv, k..k + 1, Access::WriteAll),
-                        ],
-                    );
-                    pivot_col(p, &a, &piv, k, &mut abuf, &mut pbuf);
-                }
-                let mut sends = Vec::new();
-                let mut recv = Vec::new();
-                if is_owner {
-                    let section = RegularSection::matrix_cols(&piv, k..k + 1, Access::Read);
-                    for q in 0..nprocs {
-                        if q != me && col_block(cols, nprocs, q).end > k + 1 {
-                            sends.push(Push::new(q, std::slice::from_ref(&section)));
-                        }
+            let mut sends = Vec::new();
+            let mut recv = Vec::new();
+            if is_owner {
+                validate(
+                    p,
+                    &[
+                        RegularSection::matrix_cols(&a, k..k + 1, Access::Read),
+                        RegularSection::matrix_cols(&piv, k..k + 1, Access::WriteAll),
+                    ],
+                );
+                pivot_col(p, &a, &piv, k, &mut abuf, &mut pbuf);
+                let section = RegularSection::matrix_cols(&piv, k..k + 1, Access::Read);
+                for q in 0..nprocs {
+                    if q != me && col_block(cols, nprocs, q).end > k + 1 {
+                        sends.push(Push::new(q, std::slice::from_ref(&section)));
                     }
-                } else if !tail.is_empty() {
-                    recv.push(owner_of(cols, nprocs, k));
                 }
-                push_phase(p, &sends, &recv);
-                let mut sections = Vec::new();
-                if !tail.is_empty() {
-                    sections.push(RegularSection::matrix_cols(&piv, k..k + 1, Access::Read));
-                    sections.push(RegularSection::matrix_cols(&a, tail.clone(), Access::Write));
-                }
-                warm_sections(p, &sections);
-                update_cols(p, &a, &piv, k, tail.clone(), &mut abuf, &mut pbuf);
+            } else if !tail.is_empty() {
+                recv.push(owner_of(cols, nprocs, k));
             }
-            Variant::Compiled => unreachable!("the compiled form returned above"),
+            push_phase(p, &sends, &recv);
+            let mut sections = Vec::new();
+            if !tail.is_empty() {
+                sections.push(RegularSection::matrix_cols(&piv, k..k + 1, Access::Read));
+                sections.push(RegularSection::matrix_cols(&a, tail.clone(), Access::Write));
+            }
+            warm_sections(p, &sections);
+            update_cols(p, &a, &piv, k, tail, &mut abuf, &mut pbuf);
+        } else {
+            // The baseline: per-element checked accesses, one barrier per
+            // elimination step between the pivot computation and the
+            // updates that consume it.
+            if is_owner {
+                let akk = p.get(a.array(), a.index(k, k));
+                for i in 0..rows {
+                    let v = if i > k { p.get(a.array(), a.index(i, k)) / akk } else { 0.0 };
+                    p.set(piv.array(), piv.index(i, k), v);
+                }
+            }
+            p.barrier();
+            for j in tail {
+                let akj = p.get(a.array(), a.index(k, j));
+                for i in k + 1..rows {
+                    let v =
+                        p.get(a.array(), a.index(i, j)) - p.get(piv.array(), piv.index(i, k)) * akj;
+                    p.set(a.array(), a.index(i, j), v);
+                }
+            }
         }
     }
     checksum(p, &a, mine)
@@ -285,23 +254,26 @@ pub fn gauss_program(a: &SharedMatrix<f64>, piv: &SharedMatrix<f64>, steps: usiz
     }
 }
 
-/// Runs the elimination from the plan `rsdcomp::compile` generates for
-/// [`gauss_program`], compiled once per run and shared by every processor
-/// (`rsdcomp::compile_shared`): the application supplies only the numeric
-/// bodies, keyed by phase name and the plan step's iteration number; every
-/// data-movement decision — including the per-iteration producer and
-/// consumer sets of the pivot broadcast — is the compiler's.
+/// Runs the elimination from the plan `rsdcomp` generates for
+/// [`gauss_program`] under `policy`, compiled once per run and shared by
+/// every processor (`rsdcomp::compile_shared`): the application supplies
+/// only the numeric bodies, keyed by phase name and the plan step's
+/// iteration number; every data-movement decision — including the
+/// per-iteration producer and consumer sets of the pivot broadcast — is the
+/// compiler's. Under [`Policy::Validate`] the broadcast is a
+/// `Validate_w_sync` barrier per elimination step.
 fn gauss_compiled(
     p: &mut Process,
     cfg: &GridConfig,
     a: &SharedMatrix<f64>,
     piv: &SharedMatrix<f64>,
+    policy: Policy,
 ) -> u64 {
     let GridConfig { rows, cols, iters } = *cfg;
     let nprocs = p.nprocs();
     let me = p.proc_id();
     let program = gauss_program(a, piv, iters);
-    let kernel = rsdcomp::compile_shared(&program, nprocs);
+    let kernel = rsdcomp::compile_shared(&program, nprocs, policy);
     let plan = kernel.plan_for(me);
     let phases = program.phases();
 
@@ -335,6 +307,6 @@ fn gauss_compiled(
         }
         rsdcomp::exec::release(p, step);
     }
-    rsdcomp::exec::run_boundary(p, &plan.exit);
+    rsdcomp::exec::exit(p, plan);
     checksum(p, a, mine)
 }

@@ -14,15 +14,19 @@
 //! The analyzable forms declare the critical section's accesses on the
 //! acquire, so the grant comes back with the previous holders' diffs
 //! piggybacked — the merged lock-grant+data message. They also drop the
-//! baseline's second barrier per iteration: under lazy release consistency
-//! a page validated at the rank barrier cannot change under its reader
-//! until the reader's own next acquire, so the ranking reads are
-//! deterministic without fencing off the next iteration's merges — the
-//! baseline, whose per-element ranking reads demand-fetch against a moving
-//! diff horizon, has no such guarantee and pays the extra barrier.
+//! baseline's second barrier per iteration, because the compiler never
+//! emits it: the rank phase writes nothing, so no write is pending at the
+//! rank→merge boundary, and the analyzer (which tracks flow dependences)
+//! classifies it as a lock boundary under either policy. The barrier would
+//! fence only an anti-dependence — the next merge's histogram writes
+//! against this rank's reads — and lazy release consistency already
+//! covers that: a page validated at the rank barrier cannot change under
+//! its reader until the reader's own next acquire. The baseline, whose
+//! per-element ranking reads demand-fetch against a moving diff horizon,
+//! has no such guarantee and pays the extra barrier.
 
 use ctrt::{validate, validate_w_sync, Access, RegularSection, SyncOp};
-use rsdcomp::{ArrayDecl, ColSpan, Node, Phase, Program, SectionAccess};
+use rsdcomp::{ArrayDecl, ColSpan, Node, Phase, Policy, Program, SectionAccess};
 use treadmarks::{LockId, Process, SharedMatrix};
 
 use crate::{col_block, col_elems, mix64, GridConfig, Variant};
@@ -144,9 +148,12 @@ pub fn is(p: &mut Process, cfg: &GridConfig, variant: Variant) -> u64 {
     let bins = rows * cols;
     let keys = p.alloc_matrix::<u64>(rows, cols);
     let hist = p.alloc_matrix::<u64>(rows, cols);
-    if variant == Variant::Compiled {
-        return is_compiled(p, cfg, &keys, &hist);
+    if let Some(policy) = variant.policy() {
+        return is_compiled(p, cfg, &keys, &hist, policy);
     }
+    // The hand-written forms: the TreadMarks baseline and the
+    // hand-analyzed Push form the compiler is tested against.
+    let push = variant == Variant::Push;
     let me = p.proc_id();
     let mine = col_block(cols, nprocs, me);
     let own_bins = mine.start * rows..mine.end * rows;
@@ -155,94 +162,65 @@ pub fn is(p: &mut Process, cfg: &GridConfig, variant: Variant) -> u64 {
     let mut chk = 0u64;
 
     // Initialise only the own key block; the histogram starts from the
-    // allocator's zeroed pages. No boundary follows in any variant: the
+    // allocator's zeroed pages. No boundary follows in either form: the
     // first merge's acquire chain orders the init writes (each release
     // flushes them, each grant carries the notices).
-    match variant {
-        Variant::TreadMarks => {
-            for j in mine.clone() {
-                for i in 0..rows {
-                    p.set(keys.array(), keys.index(i, j), key_seed(i, j, bins));
-                }
+    if push {
+        validate(p, &[RegularSection::matrix_cols(&keys, mine.clone(), Access::WriteAll)]);
+        for j in mine.clone() {
+            for (i, slot) in kbuf.iter_mut().enumerate() {
+                *slot = key_seed(i, j, bins);
+            }
+            p.set_slice(keys.array(), col_elems(&keys, j), &kbuf);
+        }
+    } else {
+        for j in mine.clone() {
+            for i in 0..rows {
+                p.set(keys.array(), keys.index(i, j), key_seed(i, j, bins));
             }
         }
-        Variant::Validate | Variant::Push => {
-            validate(p, &[RegularSection::matrix_cols(&keys, mine.clone(), Access::WriteAll)]);
-            for j in mine.clone() {
-                for (i, slot) in kbuf.iter_mut().enumerate() {
-                    *slot = key_seed(i, j, bins);
-                }
-                p.set_slice(keys.array(), col_elems(&keys, j), &kbuf);
-            }
-        }
-        Variant::Compiled => unreachable!("the compiled form returned above"),
     }
 
     for t in 0..iters {
-        match variant {
+        if push {
+            // The hand-analyzed form the compiler must match: sections
+            // declared on the sync ops (merged lock-grant+data on the
+            // acquire), bulk accessors, and one acquire and one barrier
+            // per iteration (the module doc says why one barrier suffices).
+            validate_w_sync(
+                p,
+                SyncOp::Lock(MERGE_LOCK),
+                &merge_sections(&keys, &hist, &mine, cols),
+            );
+            merge_bulk(p, &keys, &hist, &mine, t, &mut kbuf, &mut hbuf);
+            ctrt::release(p, MERGE_LOCK);
+            validate_w_sync(
+                p,
+                SyncOp::Barrier,
+                &[RegularSection::matrix_cols(&hist, mine.clone(), Access::Read)],
+            );
+            chk ^= rank_bulk(p, &hist, own_bins.clone(), t, &mut hbuf);
+        } else {
             // The baseline: per-element checked accesses, and a second
             // barrier per iteration because the ranking reads demand-fetch
             // against whatever diffs later merges have already flushed.
-            Variant::TreadMarks => {
-                p.lock_acquire(MERGE_LOCK);
-                for j in mine.clone() {
-                    for i in 0..rows {
-                        let idx = keys.index(i, j);
-                        let k = p.get(keys.array(), idx);
-                        let c = p.get(hist.array(), k as usize);
-                        p.set(hist.array(), k as usize, c + 1);
-                        p.set(keys.array(), idx, next_key(k, t, idx, bins));
-                    }
+            p.lock_acquire(MERGE_LOCK);
+            for j in mine.clone() {
+                for i in 0..rows {
+                    let idx = keys.index(i, j);
+                    let k = p.get(keys.array(), idx);
+                    let c = p.get(hist.array(), k as usize);
+                    p.set(hist.array(), k as usize, c + 1);
+                    p.set(keys.array(), idx, next_key(k, t, idx, bins));
                 }
-                p.lock_release(MERGE_LOCK);
-                p.barrier();
-                for b in own_bins.clone() {
-                    let h = p.get(hist.array(), b);
-                    chk ^= bin_mix(b, h, t);
-                }
-                p.barrier();
             }
-            // Sections declared on the sync ops (merged lock-grant+data on
-            // the acquire), bulk accessors, but the baseline's sync
-            // structure kept as-is — including the anti-dependence barrier.
-            Variant::Validate => {
-                validate_w_sync(
-                    p,
-                    SyncOp::Lock(MERGE_LOCK),
-                    &merge_sections(&keys, &hist, &mine, cols),
-                );
-                merge_bulk(p, &keys, &hist, &mine, t, &mut kbuf, &mut hbuf);
-                ctrt::release(p, MERGE_LOCK);
-                validate_w_sync(
-                    p,
-                    SyncOp::Barrier,
-                    &[RegularSection::matrix_cols(&hist, mine.clone(), Access::Read)],
-                );
-                chk ^= rank_bulk(p, &hist, own_bins.clone(), t, &mut hbuf);
-                p.barrier();
+            p.lock_release(MERGE_LOCK);
+            p.barrier();
+            for b in own_bins.clone() {
+                let h = p.get(hist.array(), b);
+                chk ^= bin_mix(b, h, t);
             }
-            // The hand-analyzed form the compiler must match: the ranking
-            // reads run on pages validated at the barrier, which lazy
-            // release consistency keeps at that version until this
-            // processor's own next acquire — so the second barrier is
-            // dropped. One acquire and one barrier per iteration, nothing
-            // else.
-            Variant::Push => {
-                validate_w_sync(
-                    p,
-                    SyncOp::Lock(MERGE_LOCK),
-                    &merge_sections(&keys, &hist, &mine, cols),
-                );
-                merge_bulk(p, &keys, &hist, &mine, t, &mut kbuf, &mut hbuf);
-                ctrt::release(p, MERGE_LOCK);
-                validate_w_sync(
-                    p,
-                    SyncOp::Barrier,
-                    &[RegularSection::matrix_cols(&hist, mine.clone(), Access::Read)],
-                );
-                chk ^= rank_bulk(p, &hist, own_bins.clone(), t, &mut hbuf);
-            }
-            Variant::Compiled => unreachable!("the compiled form returned above"),
+            p.barrier();
         }
     }
     chk ^ keys_checksum(p, &keys, &mine, &mut kbuf)
@@ -291,24 +269,27 @@ pub fn is_program(keys: &SharedMatrix<u64>, hist: &SharedMatrix<u64>, iters: usi
     }
 }
 
-/// Runs integer sort from the plan `rsdcomp::compile` generates for
-/// [`is_program`], compiled once per run and shared by every processor
+/// Runs integer sort from the plan `rsdcomp` generates for [`is_program`]
+/// under `policy`, compiled once per run and shared by every processor
 /// (`rsdcomp::compile_shared`): the application supplies only the numeric
 /// bodies; the acquire (with its piggybacked section validation), the
-/// release and the single rank barrier all come from the plan.
-/// Message-for-message identical to the hand-written `Push` variant — the
-/// test suite pins the equality.
+/// release and the single rank barrier all come from the plan. No boundary
+/// is a push or an eliminated barrier, so both policies give the same
+/// steps; only the `Full` plan's exit warm differs. Message-for-message
+/// identical to the hand-written `Push` variant — the test suite pins the
+/// equality.
 fn is_compiled(
     p: &mut Process,
     cfg: &GridConfig,
     keys: &SharedMatrix<u64>,
     hist: &SharedMatrix<u64>,
+    policy: Policy,
 ) -> u64 {
     let GridConfig { rows, cols, iters } = *cfg;
     let nprocs = p.nprocs();
     let me = p.proc_id();
     let program = is_program(keys, hist, iters);
-    let kernel = rsdcomp::compile_shared(&program, nprocs);
+    let kernel = rsdcomp::compile_shared(&program, nprocs, policy);
     let plan = kernel.plan_for(me);
     let phases = program.phases();
 
@@ -337,6 +318,6 @@ fn is_compiled(
         }
         rsdcomp::exec::release(p, step);
     }
-    rsdcomp::exec::run_boundary(p, &plan.exit);
+    rsdcomp::exec::exit(p, plan);
     chk ^ keys_checksum(p, keys, &mine, &mut kbuf)
 }

@@ -9,11 +9,8 @@
 //! they may be written in any order — the split-phase form exploits this to
 //! sweep the interior columns while the boundary columns are in flight.
 
-use ctrt::{
-    validate, validate_w_sync_complete, validate_w_sync_issue, warm_sections, Access,
-    RegularSection, SyncOp,
-};
-use rsdcomp::{ArrayDecl, ColSpan, Node, Phase, Program, SectionAccess};
+use ctrt::{validate, warm_sections, Access, RegularSection};
+use rsdcomp::{ArrayDecl, ColSpan, Node, Phase, Policy, Program, SectionAccess};
 use treadmarks::{Process, SharedMatrix};
 
 use crate::sor::{exchange_boundaries, ColBufs};
@@ -64,125 +61,92 @@ pub fn jacobi(p: &mut Process, cfg: &GridConfig, variant: Variant) -> f64 {
     assert!(rows >= 2 && cols >= 2 * nprocs, "each processor needs at least two columns");
     let a = p.alloc_matrix::<f64>(rows, cols);
     let b = p.alloc_matrix::<f64>(rows, cols);
-    if variant == Variant::Compiled {
-        return jacobi_compiled(p, cfg, &a, &b);
+    if let Some(policy) = variant.policy() {
+        return jacobi_compiled(p, cfg, &a, &b, policy);
     }
+    // The hand-written forms: the TreadMarks baseline and the
+    // hand-analyzed Push form the compiler is tested against.
+    let push = variant == Variant::Push;
     let me = p.proc_id();
     let mine = col_block(cols, nprocs, me);
     let (lo, hi) = (mine.start, mine.end);
     // The columns this processor updates; global boundary columns are fixed.
     let update = lo.max(1)..hi.min(cols - 1);
-    let (interior, left_edge, right_edge) = split_columns(&update, lo > 0, hi < cols);
 
     // Identical deterministic initial condition in both grids. The
-    // baseline writes it per element through the checked path; the
-    // optimized forms treat initialisation as what it is — a fully
-    // analyzable WRITE_ALL phase — and run it on batch-enabled, warmed
-    // mappings (for Push, the WRITE_ALL assertion also covers the sweeps:
-    // the updated columns are fully overwritten every iteration and the
-    // push form never releases, so no twin is ever kept).
+    // baseline writes it per element through the checked path; the push
+    // form treats initialisation as what it is — a fully analyzable
+    // WRITE_ALL phase — and runs it on batch-enabled, warmed mappings (the
+    // WRITE_ALL assertion also covers the sweeps: the updated columns are
+    // fully overwritten every iteration and the push form never releases,
+    // so no twin is ever kept).
     let mut colbuf = vec![0.0f64; rows];
-    match variant {
-        Variant::TreadMarks => {
-            for j in mine.clone() {
-                for i in 0..rows {
-                    p.set(a.array(), a.index(i, j), seed(i, j));
-                    p.set(b.array(), b.index(i, j), seed(i, j));
-                }
+    if push {
+        validate(
+            p,
+            &[
+                RegularSection::matrix_cols(&a, mine.clone(), Access::WriteAll),
+                RegularSection::matrix_cols(&b, mine.clone(), Access::WriteAll),
+            ],
+        );
+        for j in mine.clone() {
+            for (i, slot) in colbuf.iter_mut().enumerate() {
+                *slot = seed(i, j);
             }
+            p.set_slice(a.array(), col_elems(&a, j), &colbuf);
+            p.set_slice(b.array(), col_elems(&b, j), &colbuf);
         }
-        Variant::Validate | Variant::Push => {
-            validate(
-                p,
-                &[
-                    RegularSection::matrix_cols(&a, mine.clone(), Access::WriteAll),
-                    RegularSection::matrix_cols(&b, mine.clone(), Access::WriteAll),
-                ],
-            );
-            for j in mine.clone() {
-                for (i, slot) in colbuf.iter_mut().enumerate() {
-                    *slot = seed(i, j);
-                }
-                p.set_slice(a.array(), col_elems(&a, j), &colbuf);
-                p.set_slice(b.array(), col_elems(&b, j), &colbuf);
-            }
-        }
-        Variant::Compiled => unreachable!("the compiled form returned above"),
-    }
-    match variant {
-        Variant::TreadMarks => p.barrier(),
-        // The Validate form needs no separate barrier here: the first
-        // sweep's `validate_w_sync_issue` *is* the phase boundary.
-        Variant::Validate => {}
         // The first sweep reads grid `a`: seed the neighbours' boundary
         // columns point-to-point.
-        Variant::Push => exchange_boundaries(p, &a, lo, hi),
-        Variant::Compiled => unreachable!("the compiled form returned above"),
+        exchange_boundaries(p, &a, lo, hi);
+    } else {
+        for j in mine.clone() {
+            for i in 0..rows {
+                p.set(a.array(), a.index(i, j), seed(i, j));
+                p.set(b.array(), b.index(i, j), seed(i, j));
+            }
+        }
+        p.barrier();
     }
 
     let mut bufs = ColBufs::new(rows);
     for t in 0..iters {
         let (src, dst) = if t % 2 == 0 { (&a, &b) } else { (&b, &a) };
-        let read = lo.saturating_sub(1)..(hi + 1).min(cols);
-        match variant {
+        if push {
+            // Data already moved point-to-point; just re-warm the
+            // fast-path mappings the pushes staled out.
+            let read = lo.saturating_sub(1)..(hi + 1).min(cols);
+            let mut sections = vec![RegularSection::matrix_cols(src, read, Access::Read)];
+            if !update.is_empty() {
+                sections.push(RegularSection::matrix_cols(dst, update.clone(), Access::Write));
+            }
+            warm_sections(p, &sections);
+            sweep_cols(p, src, dst, update.clone(), &mut bufs);
+            exchange_boundaries(p, dst, lo, hi);
+        } else {
             // The baseline: every element access is a checked access.
-            Variant::TreadMarks => {
-                p.barrier();
-                for j in update.clone() {
-                    for i in 1..rows - 1 {
-                        let v = 0.25
-                            * (p.get(src.array(), src.index(i - 1, j))
-                                + p.get(src.array(), src.index(i + 1, j))
-                                + p.get(src.array(), src.index(i, j - 1))
-                                + p.get(src.array(), src.index(i, j + 1)));
-                        p.set(dst.array(), dst.index(i, j), v);
-                    }
-                    let top = p.get(src.array(), src.index(0, j));
-                    p.set(dst.array(), dst.index(0, j), top);
-                    let bottom = p.get(src.array(), src.index(rows - 1, j));
-                    p.set(dst.array(), dst.index(rows - 1, j), bottom);
+            p.barrier();
+            for j in update.clone() {
+                for i in 1..rows - 1 {
+                    let v = 0.25
+                        * (p.get(src.array(), src.index(i - 1, j))
+                            + p.get(src.array(), src.index(i + 1, j))
+                            + p.get(src.array(), src.index(i, j - 1))
+                            + p.get(src.array(), src.index(i, j + 1)));
+                    p.set(dst.array(), dst.index(i, j), v);
                 }
+                let top = p.get(src.array(), src.index(0, j));
+                p.set(dst.array(), dst.index(0, j), top);
+                let bottom = p.get(src.array(), src.index(rows - 1, j));
+                p.set(dst.array(), dst.index(rows - 1, j), bottom);
             }
-            // Split-phase: issue the merged fetch at the phase boundary,
-            // sweep the interior columns while the neighbours' boundary
-            // columns are in flight, complete, then sweep the (at most two)
-            // boundary-adjacent columns.
-            Variant::Validate => {
-                let mut sections =
-                    vec![RegularSection::matrix_cols(src, read.clone(), Access::Read)];
-                if !update.is_empty() {
-                    sections.push(RegularSection::matrix_cols(
-                        dst,
-                        update.clone(),
-                        Access::WriteAll,
-                    ));
-                }
-                let pending = validate_w_sync_issue(p, SyncOp::Barrier, &sections);
-                sweep_cols(p, src, dst, interior.clone(), &mut bufs);
-                validate_w_sync_complete(p, pending);
-                sweep_cols(p, src, dst, left_edge.clone(), &mut bufs);
-                sweep_cols(p, src, dst, right_edge.clone(), &mut bufs);
-            }
-            Variant::Push => {
-                // Data already moved point-to-point; just re-warm the
-                // fast-path mappings the pushes staled out.
-                let mut sections =
-                    vec![RegularSection::matrix_cols(src, read.clone(), Access::Read)];
-                if !update.is_empty() {
-                    sections.push(RegularSection::matrix_cols(dst, update.clone(), Access::Write));
-                }
-                warm_sections(p, &sections);
-                sweep_cols(p, src, dst, update.clone(), &mut bufs);
-                exchange_boundaries(p, dst, lo, hi);
-            }
-            Variant::Compiled => unreachable!("the compiled form returned above"),
         }
     }
 
     let final_grid = if iters % 2 == 0 { &a } else { &b };
     // The push exchanges staled every mapping; re-warm the block once
     // instead of slow-filling per page.
-    if variant == Variant::Push {
+    if push {
         warm_sections(p, &[RegularSection::matrix_cols(final_grid, mine.clone(), Access::Read)]);
     }
     let mut sum = 0.0;
@@ -232,22 +196,24 @@ pub fn jacobi_program(a: &SharedMatrix<f64>, b: &SharedMatrix<f64>, iters: usize
     Program { arrays: vec![ArrayDecl::of_matrix("a", a), ArrayDecl::of_matrix("b", b)], nodes }
 }
 
-/// Runs Jacobi from the plan `rsdcomp::compile` generates for
-/// [`jacobi_program`], compiled once per run and shared by every processor
+/// Runs Jacobi from the plan `rsdcomp` generates for [`jacobi_program`]
+/// under `policy`, compiled once per run and shared by every processor
 /// (`rsdcomp::compile_shared`): the application supplies only the numeric
 /// bodies (seeding and [`sweep_cols`]); every data-movement decision is the
-/// compiler's.
+/// compiler's. Under [`Policy::Validate`] every sweep boundary is a
+/// `Validate_w_sync` barrier; under [`Policy::Full`] every one is a push.
 fn jacobi_compiled(
     p: &mut Process,
     cfg: &GridConfig,
     a: &SharedMatrix<f64>,
     b: &SharedMatrix<f64>,
+    policy: Policy,
 ) -> f64 {
     let GridConfig { rows, cols, iters } = *cfg;
     let nprocs = p.nprocs();
     let me = p.proc_id();
     let program = jacobi_program(a, b, iters);
-    let kernel = rsdcomp::compile_shared(&program, nprocs);
+    let kernel = rsdcomp::compile_shared(&program, nprocs, policy);
     let plan = kernel.plan_for(me);
     let phases = program.phases();
 
@@ -280,7 +246,7 @@ fn jacobi_compiled(
             other => unreachable!("unknown phase {other:?}"),
         }
     }
-    rsdcomp::exec::run_boundary(p, &plan.exit);
+    rsdcomp::exec::exit(p, plan);
     let final_grid = if iters % 2 == 0 { a } else { b };
     let mut sum = 0.0;
     for j in mine {

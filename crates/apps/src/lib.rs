@@ -1,28 +1,29 @@
 //! # dsm-apps — the paper's application suite
 //!
-//! Kernels from the ASPLOS '96 evaluation, each written three times over
-//! the same numerical loop:
+//! Kernels from the ASPLOS '96 evaluation, each in four forms over the
+//! same numerical loop:
 //!
-//! * **TreadMarks** — plain barriers and per-element checked accesses; every
-//!   miss is a page fault and a request/response pair, every element access
-//!   is a software access check;
-//! * **Validate** — the phase's sections are declared up front and
-//!   `validate_w_sync` merges the aggregated fetch with the barrier; the
-//!   phase body runs on the bulk accessors over pre-warmed (section-grant)
-//!   fast-path mappings;
-//! * **Push** — the fully analyzable form: producers push boundary data
-//!   point-to-point, there are no barriers, no invalidations, no twins;
-//! * **Compiled** — the integrated form the paper is named for: the kernel
-//!   is described as a [`rsdcomp::Program`] (loop-nest IR with regular
-//!   sections) and **every protocol call is generated by
-//!   `rsdcomp::compile`** — the application contributes only the numeric
-//!   phase bodies. The analyzer eliminates barriers where the dependences
-//!   allow (Jacobi compiles to pure pushes; SOR keeps one real barrier per
-//!   iteration for the GC horizon and replaces the other with a
-//!   point-to-point merged data+sync exchange). The compile happens once
-//!   per run, not once per processor: SPMD allocation gives every
-//!   processor the same program, and `rsdcomp::compile_shared` hands all
-//!   of them one shared kernel, from which each borrows its own plan.
+//! * **TreadMarks** (hand-written) — plain barriers and per-element checked
+//!   accesses; every miss is a page fault and a request/response pair,
+//!   every element access is a software access check;
+//! * **Push** (hand-written) — the hand-analyzed form the tests hold the
+//!   compiler against: producers push boundary data point-to-point, there
+//!   are no barriers, no invalidations, no twins;
+//! * **Validate** and **Compiled** (generated) — the kernel is described
+//!   as a [`rsdcomp::Program`] (loop-nest IR with regular sections) and
+//!   **every protocol call is generated by `rsdcomp`**; the application
+//!   contributes only the numeric phase bodies. Compiled is the integrated
+//!   form the paper is named for ([`rsdcomp::Policy::Full`]): the analyzer
+//!   eliminates barriers where the dependences allow (Jacobi compiles to
+//!   pure pushes; SOR keeps one real barrier per iteration for the GC
+//!   horizon and replaces the other with a point-to-point merged data+sync
+//!   exchange). Validate ([`rsdcomp::Policy::Validate`]) keeps a barrier
+//!   wherever Compiled would push or eliminate one, merged with the
+//!   phase's sections (`Validate_w_sync`), so the aggregated fetch rides on
+//!   the barrier and the body runs over pre-warmed fast-path mappings.
+//!   Either way the compile happens once per run: SPMD allocation gives
+//!   every processor the same program, and `rsdcomp::compile_shared` hands
+//!   all of them one shared kernel, from which each borrows its own plan.
 //!
 //! All variants execute the identical floating-point operations, so their
 //! per-processor checksums are bit-for-bit equal — which is how the tests
@@ -41,18 +42,21 @@ pub use is::{is, is_program, MERGE_LOCK};
 pub use jacobi::{jacobi, jacobi_program};
 pub use sor::{sor, sor_program};
 
+use rsdcomp::Policy;
+
 /// Which form of a kernel to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Variant {
     /// Plain TreadMarks: barriers + per-element checked accesses.
     TreadMarks,
-    /// `Validate_w_sync` at phase boundaries + bulk accessors.
+    /// `Validate_w_sync` at phase boundaries + bulk accessors, generated by
+    /// `rsdcomp` under [`Policy::Validate`].
     Validate,
     /// `push_phase` data movement, no barriers (hand-analyzed).
     Push,
-    /// All protocol calls generated by `rsdcomp::compile` from the kernel's
-    /// loop-nest IR: barriers eliminated or replaced with merged data+sync
-    /// exchanges wherever the dependence analysis allows.
+    /// All protocol calls generated by `rsdcomp` under [`Policy::Full`] from
+    /// the kernel's loop-nest IR: barriers eliminated or replaced with
+    /// merged data+sync exchanges wherever the dependence analysis allows.
     Compiled,
 }
 
@@ -62,6 +66,18 @@ impl Variant {
     /// above).
     pub const ALL: [Variant; 4] =
         [Variant::TreadMarks, Variant::Validate, Variant::Push, Variant::Compiled];
+
+    /// The compile policy of a plan-driven variant: `Validate` and
+    /// `Compiled` run the plan `rsdcomp` generates from the kernel's IR
+    /// under [`Policy::Validate`] and [`Policy::Full`]. The hand-written
+    /// TreadMarks and Push forms have none.
+    pub fn policy(self) -> Option<Policy> {
+        match self {
+            Variant::TreadMarks | Variant::Push => None,
+            Variant::Validate => Some(Policy::Validate),
+            Variant::Compiled => Some(Policy::Full),
+        }
+    }
 
     /// Stable lowercase name, used by the benchmark records.
     pub fn name(self) -> &'static str {

@@ -6,15 +6,12 @@
 //! between the half-sweeps. Because a cell's neighbours always have the
 //! opposite colour, in-place update and buffered update compute identical
 //! values, and the columns of one half-sweep may be relaxed in any order —
-//! which keeps the three variants bit-for-bit comparable *and* lets the
+//! which keeps every variant bit-for-bit comparable *and* lets the
 //! split-phase form compute interior columns while the boundary fetch is
 //! still in flight.
 
-use ctrt::{
-    validate, validate_w_sync_complete, validate_w_sync_issue, warm_sections, Access, Push,
-    RegularSection, SyncOp,
-};
-use rsdcomp::{ArrayDecl, ColSpan, Node, Phase, Program, SectionAccess};
+use ctrt::{validate, warm_sections, Access, Push, RegularSection};
+use rsdcomp::{ArrayDecl, ColSpan, Node, Phase, Policy, Program, SectionAccess};
 use treadmarks::{Process, SharedMatrix};
 
 use crate::{col_block, col_elems, seed, split_columns, GridConfig, Variant};
@@ -108,126 +105,75 @@ pub fn sor(p: &mut Process, cfg: &GridConfig, variant: Variant) -> f64 {
     let nprocs = p.nprocs();
     assert!(rows >= 2 && cols >= 2 * nprocs, "each processor needs at least two columns");
     let m = p.alloc_matrix::<f64>(rows, cols);
-    if variant == Variant::Compiled {
-        return sor_compiled(p, cfg, &m);
+    if let Some(policy) = variant.policy() {
+        return sor_compiled(p, cfg, &m, policy);
     }
+    // The hand-written forms: the TreadMarks baseline and the
+    // hand-analyzed Push form the compiler is tested against.
+    let push = variant == Variant::Push;
     let me = p.proc_id();
     let mine = col_block(cols, nprocs, me);
     let (lo, hi) = (mine.start, mine.end);
     let update = lo.max(1)..hi.min(cols - 1);
-    // Columns whose relaxation reads only this processor's own data, and
-    // the (at most two) boundary-adjacent columns that read a neighbour's
-    // column — what the split-phase form computes before/after `complete`.
-    let (interior, left_edge, right_edge) = split_columns(&update, lo > 0, hi < cols);
 
     // Deterministic initial condition: per element for the baseline, a
-    // WRITE_ALL-validated bulk phase for the optimized forms. For Push the
-    // WRITE_ALL assertion is permanent — the push form performs no release,
-    // so the block stays write-enabled and twin-free for the whole run.
+    // WRITE_ALL-validated bulk phase for the push form. There the WRITE_ALL
+    // assertion is permanent — the push form performs no release, so the
+    // block stays write-enabled and twin-free for the whole run.
     let mut colbuf = vec![0.0f64; rows];
-    match variant {
-        Variant::TreadMarks => {
-            for j in mine.clone() {
-                for i in 0..rows {
-                    p.set(m.array(), m.index(i, j), seed(i, j));
-                }
+    if push {
+        validate(p, &[RegularSection::matrix_cols(&m, mine.clone(), Access::WriteAll)]);
+        for j in mine.clone() {
+            for (i, slot) in colbuf.iter_mut().enumerate() {
+                *slot = seed(i, j);
+            }
+            p.set_slice(m.array(), col_elems(&m, j), &colbuf);
+        }
+        exchange_boundaries(p, &m, lo, hi);
+    } else {
+        for j in mine.clone() {
+            for i in 0..rows {
+                p.set(m.array(), m.index(i, j), seed(i, j));
             }
         }
-        Variant::Validate | Variant::Push => {
-            validate(p, &[RegularSection::matrix_cols(&m, mine.clone(), Access::WriteAll)]);
-            for j in mine.clone() {
-                for (i, slot) in colbuf.iter_mut().enumerate() {
-                    *slot = seed(i, j);
-                }
-                p.set_slice(m.array(), col_elems(&m, j), &colbuf);
-            }
-        }
-        Variant::Compiled => unreachable!("the compiled form returned above"),
+        p.barrier();
     }
-    match variant {
-        Variant::TreadMarks => p.barrier(),
-        // The Validate form needs no separate barrier here: the first
-        // half-sweep's `validate_w_sync_issue` *is* the phase boundary.
-        Variant::Validate => {}
-        Variant::Push => exchange_boundaries(p, &m, lo, hi),
-        Variant::Compiled => unreachable!("the compiled form returned above"),
-    }
-
-    // The sections of one half-sweep: the columns flanking the update block
-    // are read (a neighbour's boundary column, or a fixed global boundary
-    // column — covering the latter keeps the fast path warm), and the
-    // update block is read and then fully overwritten (`set_slice` rewrites
-    // every byte of every update column) — the paper's READ&WRITE_ALL:
-    // fetched, but twin-free.
-    let half_sweep_sections = |m: &SharedMatrix<f64>| {
-        let mut sections = Vec::new();
-        if !update.is_empty() {
-            sections.push(RegularSection::matrix_cols(
-                m,
-                update.start - 1..update.start,
-                Access::Read,
-            ));
-            sections.push(RegularSection::matrix_cols(m, update.end..update.end + 1, Access::Read));
-            sections.push(RegularSection::matrix_cols(m, update.clone(), Access::ReadWriteAll));
-        }
-        sections
-    };
 
     let mut bufs = ColBufs::new(rows);
     for _ in 0..iters {
         for colour in 0..2usize {
-            match variant {
-                Variant::TreadMarks => {
-                    p.barrier();
-                    for j in update.clone() {
-                        for i in 1..rows - 1 {
-                            if (i + j) % 2 != colour {
-                                continue;
-                            }
-                            let old = p.get(m.array(), m.index(i, j));
-                            let avg = 0.25
-                                * (p.get(m.array(), m.index(i - 1, j))
-                                    + p.get(m.array(), m.index(i + 1, j))
-                                    + p.get(m.array(), m.index(i, j - 1))
-                                    + p.get(m.array(), m.index(i, j + 1)));
-                            p.set(m.array(), m.index(i, j), old + OMEGA * (avg - old));
+            if push {
+                let read = lo.saturating_sub(1)..(hi + 1).min(cols);
+                let mut sections = vec![RegularSection::matrix_cols(&m, read, Access::Read)];
+                if !update.is_empty() {
+                    sections.push(RegularSection::matrix_cols(&m, update.clone(), Access::Write));
+                }
+                warm_sections(p, &sections);
+                relax_cols(p, &m, update.clone(), colour, &mut bufs);
+                exchange_boundaries(p, &m, lo, hi);
+            } else {
+                p.barrier();
+                for j in update.clone() {
+                    for i in 1..rows - 1 {
+                        if (i + j) % 2 != colour {
+                            continue;
                         }
+                        let old = p.get(m.array(), m.index(i, j));
+                        let avg = 0.25
+                            * (p.get(m.array(), m.index(i - 1, j))
+                                + p.get(m.array(), m.index(i + 1, j))
+                                + p.get(m.array(), m.index(i, j - 1))
+                                + p.get(m.array(), m.index(i, j + 1)));
+                        p.set(m.array(), m.index(i, j), old + OMEGA * (avg - old));
                     }
                 }
-                Variant::Validate => {
-                    // Split-phase: issue the merged fetch at the phase
-                    // boundary, relax the interior columns while the
-                    // neighbours' boundary columns are in flight, complete,
-                    // then relax the boundary-adjacent columns.
-                    let pending =
-                        validate_w_sync_issue(p, SyncOp::Barrier, &half_sweep_sections(&m));
-                    relax_cols(p, &m, interior.clone(), colour, &mut bufs);
-                    validate_w_sync_complete(p, pending);
-                    relax_cols(p, &m, left_edge.clone(), colour, &mut bufs);
-                    relax_cols(p, &m, right_edge.clone(), colour, &mut bufs);
-                }
-                Variant::Push => {
-                    let read = lo.saturating_sub(1)..(hi + 1).min(cols);
-                    let mut sections = vec![RegularSection::matrix_cols(&m, read, Access::Read)];
-                    if !update.is_empty() {
-                        sections.push(RegularSection::matrix_cols(
-                            &m,
-                            update.clone(),
-                            Access::Write,
-                        ));
-                    }
-                    warm_sections(p, &sections);
-                    relax_cols(p, &m, update.clone(), colour, &mut bufs);
-                    exchange_boundaries(p, &m, lo, hi);
-                }
-                Variant::Compiled => unreachable!("the compiled form returned above"),
             }
         }
     }
 
     // The push exchanges staled every mapping (each install bumps the
     // epoch); re-warm the block once instead of slow-filling per page.
-    if variant == Variant::Push {
+    if push {
         warm_sections(p, &[RegularSection::matrix_cols(&m, mine.clone(), Access::Read)]);
     }
     let mut sum = 0.0;
@@ -271,17 +217,19 @@ pub fn sor_program(m: &SharedMatrix<f64>, iters: usize) -> Program {
     }
 }
 
-/// Runs SOR from the plan `rsdcomp::compile` generates for [`sor_program`],
-/// compiled once per run and shared by every processor
+/// Runs SOR from the plan `rsdcomp` generates for [`sor_program`] under
+/// `policy`, compiled once per run and shared by every processor
 /// (`rsdcomp::compile_shared`): the application supplies only the numeric
 /// bodies (seeding and [`relax_cols`]); every synchronization, fetch, push,
-/// write-preparation and warm decision is the compiler's.
-fn sor_compiled(p: &mut Process, cfg: &GridConfig, m: &SharedMatrix<f64>) -> f64 {
+/// write-preparation and warm decision is the compiler's. Under
+/// [`Policy::Validate`] every half-sweep boundary is a `Validate_w_sync`
+/// barrier.
+fn sor_compiled(p: &mut Process, cfg: &GridConfig, m: &SharedMatrix<f64>, policy: Policy) -> f64 {
     let GridConfig { rows, cols, iters } = *cfg;
     let nprocs = p.nprocs();
     let me = p.proc_id();
     let program = sor_program(m, iters);
-    let kernel = rsdcomp::compile_shared(&program, nprocs);
+    let kernel = rsdcomp::compile_shared(&program, nprocs, policy);
     let plan = kernel.plan_for(me);
     let phases = program.phases();
 
@@ -293,8 +241,7 @@ fn sor_compiled(p: &mut Process, cfg: &GridConfig, m: &SharedMatrix<f64>) -> f64
 
     for step in &plan.steps {
         // Issue the generated entry op; a pending split-phase sync
-        // overlaps the interior columns, exactly like the hand-written
-        // Validate form.
+        // overlaps the interior columns.
         let issued = rsdcomp::exec::issue(p, &step.entry);
         match phases[step.phase].name {
             "init" => {
@@ -316,7 +263,7 @@ fn sor_compiled(p: &mut Process, cfg: &GridConfig, m: &SharedMatrix<f64>) -> f64
             other => unreachable!("unknown phase {other:?}"),
         }
     }
-    rsdcomp::exec::run_boundary(p, &plan.exit);
+    rsdcomp::exec::exit(p, plan);
     let mut sum = 0.0;
     for j in mine {
         p.get_slice(m.array(), col_elems(m, j), &mut colbuf);

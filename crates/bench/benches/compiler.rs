@@ -7,6 +7,8 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use rsdcomp::Policy;
+
 const NPROCS: [usize; 3] = [8, 64, 128];
 
 /// Timed batches per measurement; the median batch is reported.
@@ -39,9 +41,9 @@ fn main() {
             });
             // Held for the measurement, as the first processor of a run
             // holds it while the others look it up.
-            let held = rsdcomp::compile_shared(&program, nprocs);
+            let held = rsdcomp::compile_shared(&program, nprocs, Policy::Full);
             let hit = median_us(1_000, || {
-                black_box(rsdcomp::compile_shared(black_box(&program), nprocs));
+                black_box(rsdcomp::compile_shared(black_box(&program), nprocs, Policy::Full));
             });
             assert_eq!(*held, rsdcomp::compile(&program, nprocs));
             println!("{app:8} {nprocs:>6} {cold:>12.1} {hit:>14.3}");

@@ -1139,8 +1139,9 @@ mod tests {
         // refusals, per-processor plans with the push regions and
         // neighbour sets the dependence pairs become — across cluster
         // sizes from 1 to 128 and, per size, an evenly and an unevenly
-        // divided column count. The analysis may get cheaper; its output
-        // may not change by a byte.
+        // divided column count, under both policies (`compile` is the Full
+        // one). The analysis may get cheaper; its output may not change by
+        // a byte.
         const NPROCS: [usize; 10] = [1, 2, 3, 4, 5, 8, 16, 32, 64, 128];
         const PINNED: [(&str, u64); 4] = [
             ("jacobi", 0x0169_afa4_2170_2af0),
@@ -1148,22 +1149,41 @@ mod tests {
             ("is", 0xa80d_1e0c_ec86_5f22),
             ("gauss", 0xf3d3_692b_44dc_d9cd),
         ];
-        let digests = PINNED.map(|(app, _)| {
-            let base = scale_cfg(app);
-            let mut digest = 0xcbf2_9ce4_8422_2325;
-            for nprocs in NPROCS {
-                let even = (2 * nprocs).max(32);
-                let uneven = (even + 1..).find(|c| nprocs == 1 || c % nprocs != 0).expect("some");
-                for cols in [even, uneven] {
-                    let program =
-                        kernel_program(app, &GridConfig { cols, ..base }).expect("kernel");
-                    let dump = format!("{:?}", rsdcomp::compile(&program, nprocs));
-                    digest = fnv1a(digest, dump.as_bytes());
-                }
-            }
-            (app, digest)
-        });
-        assert_eq!(digests, PINNED, "compiled output changed");
+        const VALIDATE_PINNED: [(&str, u64); 4] = [
+            ("jacobi", 0x15dd_800c_9009_8b91),
+            ("sor", 0x8793_251d_9d8c_8cc6),
+            ("is", 0x16c5_d974_66f0_6762),
+            ("gauss", 0xdbdb_1366_5bc9_dfa6),
+        ];
+        let digests =
+            |pinned: [(&'static str, u64); 4],
+             compile: &dyn Fn(&rsdcomp::Program, usize) -> rsdcomp::CompiledKernel| {
+                pinned.map(|(app, _)| {
+                    let base = scale_cfg(app);
+                    let mut digest = 0xcbf2_9ce4_8422_2325;
+                    for nprocs in NPROCS {
+                        let even = (2 * nprocs).max(32);
+                        let uneven =
+                            (even + 1..).find(|c| nprocs == 1 || c % nprocs != 0).expect("some");
+                        for cols in [even, uneven] {
+                            let program =
+                                kernel_program(app, &GridConfig { cols, ..base }).expect("kernel");
+                            let dump = format!("{:?}", compile(&program, nprocs));
+                            digest = fnv1a(digest, dump.as_bytes());
+                        }
+                    }
+                    (app, digest)
+                })
+            };
+        assert_eq!(digests(PINNED, &rsdcomp::compile), PINNED, "compiled output changed");
+        let validate = |program: &rsdcomp::Program, nprocs| {
+            rsdcomp::compile_with(program, nprocs, rsdcomp::Policy::Validate)
+        };
+        assert_eq!(
+            digests(VALIDATE_PINNED, &validate),
+            VALIDATE_PINNED,
+            "Validate-policy output changed"
+        );
     }
 
     #[test]
@@ -1476,13 +1496,25 @@ mod tests {
         // work changed the compiled plans' merged data+sync wire format
         // (sor/compiled@8 sends 6168 fewer bytes than the PR5 encoding,
         // with every structural counter — messages, table locks, faults,
-        // merged sync messages — unchanged). is/compiled is absent from
+        // merged sync messages — unchanged). The jacobi and sor Validate
+        // records at the other cluster sizes pin to BENCH_PR8.json too:
+        // the compiler-generated Validate plans reproduce them byte for
+        // byte. is/compiled is absent from
         // both lists because lock-grant arrival order jitters its wire
         // traffic run-to-run; its gate is the 10% regression budget.
         type Pinned = &'static [(&'static str, &'static str, usize)];
         const PR5_PINNED: Pinned =
             &[("jacobi", "push", 4), ("sor", "validate", 4), ("sor", "validate", 8)];
-        const PR8_PINNED: Pinned = &[("sor", "compiled", 8), ("gauss", "compiled", 8)];
+        const PR8_PINNED: Pinned = &[
+            ("sor", "compiled", 8),
+            ("gauss", "compiled", 8),
+            ("jacobi", "validate", 2),
+            ("jacobi", "validate", 4),
+            ("jacobi", "validate", 8),
+            ("jacobi", "validate", 16),
+            ("sor", "validate", 2),
+            ("sor", "validate", 16),
+        ];
         let pins = [("BENCH_PR5.json", PR5_PINNED), ("BENCH_PR8.json", PR8_PINNED)];
         for (file, records) in pins {
             let baseline_json =

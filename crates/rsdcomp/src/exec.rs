@@ -1,16 +1,16 @@
 //! Executing a compiled plan over the `ctrt` interface.
 //!
-//! The application iterates its [`ProcPlan`](crate::ProcPlan)'s steps,
+//! The application iterates its [`ProcPlan`]'s steps,
 //! issues each entry op, runs the phase's numeric body and completes the
-//! entry — the same split-phase shape the hand-written `Validate` variants
-//! use, so computation on already-local data overlaps the exchange. The
+//! entry — the split-phase shape of the paper's `Validate_w_sync`, so
+//! computation on already-local data overlaps the exchange. The
 //! executor is the *only* place compiled kernels touch the runtime: the
 //! application contributes arithmetic, the plan contributes protocol.
 
 use ctrt::PendingValidate;
 use treadmarks::Process;
 
-use crate::plan::{BoundaryOp, PlanStep};
+use crate::plan::{BoundaryOp, PlanStep, ProcPlan};
 
 /// An entry op in flight: either already finished (local prep, pushes) or
 /// a pending split-phase synchronization to be completed where the fetched
@@ -73,17 +73,21 @@ pub fn complete(p: &mut Process, issued: Issued) {
     }
 }
 
-/// Issues and immediately completes an entry op (no overlap).
-pub fn run_boundary(p: &mut Process, op: &BoundaryOp) {
-    let issued = issue(p, op);
-    complete(p, issued);
-}
-
 /// Executes a step's phase exit: releases the guarding lock if the step's
 /// entry acquired one (flushing the guarded writes and granting queued
 /// requesters), else does nothing. Call after the phase's numeric body.
 pub fn release(p: &mut Process, step: &PlanStep) {
     if let Some(lock) = step.release {
         ctrt::release(p, lock);
+    }
+}
+
+/// Executes a plan's exit op after its last phase, re-warming the
+/// read-back's mappings. An exit with no sections — every
+/// [`Policy::Validate`](crate::Policy::Validate) plan's — runs nothing.
+pub fn exit(p: &mut Process, plan: &ProcPlan) {
+    if !matches!(&plan.exit, BoundaryOp::Local { sections, .. } if sections.is_empty()) {
+        let issued = issue(p, &plan.exit);
+        complete(p, issued);
     }
 }

@@ -7,8 +7,12 @@
 //! ([`analyze_boundary`] → [`BoundaryClass`]), and a plan generator
 //! ([`compile`]) that lowers the classified program to the exact sequence
 //! of `ctrt` calls each processor executes ([`ProcPlan`], run through
-//! [`exec`]). [`compile_shared`] puts a process-wide memo in front of
-//! `compile`, so the processors of one SPMD run share a single compile.
+//! [`exec`]). [`compile_with`] takes a [`Policy`]: `Full` uses every
+//! optimization below, `Validate` keeps a barrier wherever `Full` would
+//! push or eliminate one — the paper's `Validate` interface, generated
+//! rather than hand-written. [`compile_shared`] puts a process-wide memo
+//! in front of `compile_with`, so the processors of one SPMD run share a
+//! single compile.
 //!
 //! The classification ladder, most to least optimized:
 //!
@@ -71,6 +75,8 @@ pub use ir::{
     col_block, ArrayDecl, ArrayId, ColSpan, Node, Phase, PhaseId, Program, SectionAccess,
 };
 pub use pagedmem::AddrRange;
-pub use plan::{compile, BoundaryOp, BoundarySummary, CompiledKernel, PlanStep, ProcPlan};
+pub use plan::{
+    compile, compile_with, BoundaryOp, BoundarySummary, CompiledKernel, PlanStep, Policy, ProcPlan,
+};
 pub use shared::compile_shared;
 pub use treadmarks::LockId;

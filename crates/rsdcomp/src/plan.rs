@@ -1,7 +1,8 @@
 //! Plan generation: from classified boundaries to executable `ctrt` calls.
 //!
-//! [`compile`] unrolls the program, analyzes every distinct phase boundary,
-//! applies the garbage-collection policy (one *real* barrier per loop
+//! [`compile_with`] unrolls the program, analyzes every distinct phase
+//! boundary under the requested [`Policy`], applies the garbage-collection
+//! policy (one *real* barrier per loop
 //! iteration whenever the body flushes intervals at eliminated boundaries,
 //! so diff caches stay bounded) and emits one [`ProcPlan`] per processor —
 //! the exact sequence of compiler-interface calls the kernel executes. The
@@ -15,6 +16,22 @@ use crate::analysis::{
     classify_against_pending, BoundaryAnalysis, BoundaryClass, PendingWrites, Refusal,
 };
 use crate::ir::{col_block, Access, Node, PhaseId, Program};
+
+/// Which of the analysis' optimizations a compile may use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Policy {
+    /// Every optimization the analysis proves sound: pushes, eliminated
+    /// barriers, lock-carried boundaries and dropped barriers. What
+    /// [`compile`] produces.
+    Full,
+    /// The paper's `Validate` interface alone: every boundary that would
+    /// become a push or an eliminated barrier keeps a full barrier, merged
+    /// with the phase's sections (`Validate_w_sync`). Dependence-free
+    /// boundaries still drop their barrier, lock-guarded phases still
+    /// validate on the grant, and nothing is ever pushed — so the plan
+    /// has no exit warm either.
+    Validate,
+}
 
 /// The synchronization/preparation op executed at a phase's entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,7 +141,9 @@ pub struct ProcPlan {
     /// The steps, in execution order (one per phase occurrence).
     pub steps: Vec<PlanStep>,
     /// Executed after the last phase: re-warms the processor's own blocks
-    /// for the result read-back (pushes stale every cached mapping).
+    /// for the result read-back (pushes stale every cached mapping). Has no
+    /// sections, and [`exec::exit`](crate::exec::exit) runs nothing, under
+    /// [`Policy::Validate`].
     pub exit: BoundaryOp,
 }
 
@@ -163,8 +182,8 @@ pub struct BoundarySummary {
     pub occurrences: usize,
 }
 
-/// The output of [`compile`]: the classified boundaries plus one executable
-/// plan per processor.
+/// The output of [`compile_with`]: the classified boundaries plus one
+/// executable plan per processor.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledKernel {
     /// The cluster size the kernel was compiled for.
@@ -192,14 +211,24 @@ impl CompiledKernel {
     }
 }
 
-/// Compiles `program` for an `nprocs`-processor run.
+/// Compiles `program` for an `nprocs`-processor run under
+/// [`Policy::Full`].
+///
+/// # Panics
+///
+/// As [`compile_with`].
+pub fn compile(program: &Program, nprocs: usize) -> CompiledKernel {
+    compile_with(program, nprocs, Policy::Full)
+}
+
+/// Compiles `program` for an `nprocs`-processor run under `policy`.
 ///
 /// # Panics
 ///
 /// Panics if the program has no phases, an array has fewer than `2 *
 /// nprocs` columns (the block distribution needs at least two columns per
 /// processor), or a referenced array id is out of range.
-pub fn compile(program: &Program, nprocs: usize) -> CompiledKernel {
+pub fn compile_with(program: &Program, nprocs: usize, policy: Policy) -> CompiledKernel {
     assert!(nprocs > 0, "a kernel is compiled for at least one processor");
     for decl in &program.arrays {
         assert!(
@@ -244,7 +273,9 @@ pub fn compile(program: &Program, nprocs: usize) -> CompiledKernel {
     // barrier's ack carries all of one producer's notices to one named
     // consumer; a lock acquire delivers the chain's notices, clearing the
     // lock's own guarded writes pair-wise; a push moves bytes, not
-    // notices, so it clears nothing.
+    // notices, so it clears nothing. The Validate policy turns pushes and
+    // eliminated barriers into full barriers here, inside the walk, so
+    // that they clear what a barrier clears.
     let mut analyses: Vec<BoundaryAnalysis> =
         Vec::with_capacity(occurrences.len().saturating_sub(1));
     let mut pending = PendingWrites::new(nprocs);
@@ -258,7 +289,13 @@ pub fn compile(program: &Program, nprocs: usize) -> CompiledKernel {
             // refuses, the barrier's clear_all below subsumes this.
             pending.clear_lock(lock);
         }
-        let analysis = classify_against_pending(program, nprocs, &pending, phases[next], next_iter);
+        let mut analysis =
+            classify_against_pending(program, nprocs, &pending, phases[next], next_iter);
+        if policy == Policy::Validate
+            && matches!(analysis.class, BoundaryClass::Push | BoundaryClass::EliminatedBarrier)
+        {
+            analysis.class = BoundaryClass::FullBarrier { refusal: None, gc_forced: false };
+        }
         match &analysis.class {
             BoundaryClass::FullBarrier { .. } => pending.clear_all(),
             BoundaryClass::EliminatedBarrier => {
@@ -497,8 +534,13 @@ pub fn compile(program: &Program, nprocs: usize) -> CompiledKernel {
                 };
                 steps.push(PlanStep { phase: next, iter, entry, release });
             }
-            let exit_sections = program
-                .arrays
+            // A Validate plan never pushes, so nothing stales its mappings
+            // wholesale and the read-back needs no re-warm.
+            let rewarmed = match policy {
+                Policy::Full => &program.arrays[..],
+                Policy::Validate => &[],
+            };
+            let exit_sections = rewarmed
                 .iter()
                 .filter_map(|decl| {
                     let own = col_block(decl.cols, nprocs, me);

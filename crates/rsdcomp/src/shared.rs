@@ -1,7 +1,7 @@
-//! One compile per run: a process-wide memo in front of [`compile`].
+//! One compile per run: a process-wide memo in front of [`compile_with`].
 //!
-//! [`compile`] is a pure function of `(Program, nprocs)`, and SPMD
-//! allocation makes that key identical on every processor of a run (the
+//! [`compile_with`] is a pure function of `(Program, nprocs, Policy)`, and
+//! SPMD allocation makes that key identical on every processor of a run (the
 //! arrays' base addresses are program-wide constants). So the processors
 //! of a run can share one [`CompiledKernel`] instead of each re-running
 //! the analysis: the first caller compiles, every other caller with an
@@ -18,7 +18,7 @@
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 
 use crate::ir::Program;
-use crate::plan::{compile, CompiledKernel};
+use crate::plan::{compile_with, CompiledKernel, Policy};
 
 /// One key's slot: the kernel, while anyone holds it.
 type Slot = Mutex<Weak<CompiledKernel>>;
@@ -27,6 +27,7 @@ type Slot = Mutex<Weak<CompiledKernel>>;
 struct Entry {
     program: Program,
     nprocs: usize,
+    policy: Policy,
     slot: Arc<Slot>,
 }
 
@@ -48,22 +49,31 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// [`compile`] once per `(program, nprocs)` among concurrent callers: every
-/// caller whose key equals a kernel that is still held gets that kernel's
-/// `Arc` (pointer-equal), and only the first caller compiles.
+/// [`compile_with`] once per `(program, nprocs, policy)` among concurrent
+/// callers: every caller whose key equals a kernel that is still held gets
+/// that kernel's `Arc` (pointer-equal), and only the first caller compiles.
 ///
 /// # Panics
 ///
-/// Exactly when [`compile`] panics on the same input — in every caller.
-pub fn compile_shared(program: &Program, nprocs: usize) -> Arc<CompiledKernel> {
+/// Exactly when [`compile_with`] panics on the same input — in every
+/// caller.
+pub fn compile_shared(program: &Program, nprocs: usize, policy: Policy) -> Arc<CompiledKernel> {
     let slot = {
         let mut memo = lock(&MEMO);
-        match memo.iter().find(|e| e.nprocs == nprocs && e.program == *program) {
+        match memo
+            .iter()
+            .find(|e| e.nprocs == nprocs && e.policy == policy && e.program == *program)
+        {
             Some(entry) => Arc::clone(&entry.slot),
             None => {
                 memo.retain(Entry::is_live);
                 let slot = Arc::new(Mutex::new(Weak::new()));
-                memo.push(Entry { program: program.clone(), nprocs, slot: Arc::clone(&slot) });
+                memo.push(Entry {
+                    program: program.clone(),
+                    nprocs,
+                    policy,
+                    slot: Arc::clone(&slot),
+                });
                 slot
             }
         }
@@ -72,7 +82,7 @@ pub fn compile_shared(program: &Program, nprocs: usize) -> Arc<CompiledKernel> {
     if let Some(kernel) = held.upgrade() {
         return kernel;
     }
-    let kernel = Arc::new(compile(program, nprocs));
+    let kernel = Arc::new(compile_with(program, nprocs, policy));
     *held = Arc::downgrade(&kernel);
     kernel
 }
@@ -86,6 +96,7 @@ mod tests {
 
     use super::*;
     use crate::ir::{Access, ArrayDecl, ColSpan, Node, Phase, SectionAccess};
+    use crate::plan::compile;
 
     /// A Jacobi-shaped program; every test uses its own `base` so the
     /// tests' keys never collide in the process-wide memo.
@@ -124,7 +135,7 @@ mod tests {
                 .map(|_| {
                     s.spawn(|| {
                         start.wait();
-                        compile_shared(&program, 8)
+                        compile_shared(&program, 8, Policy::Full)
                     })
                 })
                 .collect();
@@ -137,33 +148,45 @@ mod tests {
     #[test]
     fn keys_differing_in_nprocs_base_or_iters_get_distinct_kernels() {
         let base = 2 << 24;
-        let reference = compile_shared(&stencil(base, 64, 2), 8);
+        let reference = compile_shared(&stencil(base, 64, 2), 8, Policy::Full);
         for (program, nprocs) in [
             (stencil(base, 64, 2), 4),
             (stencil(base + (4 << 20), 64, 2), 8),
             (stencil(base, 64, 3), 8),
         ] {
-            let other = compile_shared(&program, nprocs);
+            let other = compile_shared(&program, nprocs, Policy::Full);
             assert!(!Arc::ptr_eq(&reference, &other));
             assert_eq!(*other, compile(&program, nprocs));
         }
-        assert!(Arc::ptr_eq(&reference, &compile_shared(&stencil(base, 64, 2), 8)));
+        assert!(Arc::ptr_eq(&reference, &compile_shared(&stencil(base, 64, 2), 8, Policy::Full)));
+    }
+
+    #[test]
+    fn the_policy_is_part_of_the_key() {
+        let program = stencil(5 << 24, 64, 2);
+        let full = compile_shared(&program, 8, Policy::Full);
+        let validate = compile_shared(&program, 8, Policy::Validate);
+        assert!(!Arc::ptr_eq(&full, &validate));
+        assert_eq!(*full, compile(&program, 8));
+        assert_eq!(*validate, compile_with(&program, 8, Policy::Validate));
+        assert_ne!(*full, *validate, "a stencil compiles to pushes only under Full");
+        assert!(Arc::ptr_eq(&validate, &compile_shared(&program, 8, Policy::Validate)));
     }
 
     #[test]
     fn dropping_every_kernel_leaves_no_live_entry() {
         let program = stencil(3 << 24, 64, 2);
-        let first = compile_shared(&program, 8);
-        let second = compile_shared(&program, 8);
+        let first = compile_shared(&program, 8, Policy::Full);
+        let second = compile_shared(&program, 8, Policy::Full);
         assert!(Arc::ptr_eq(&first, &second));
         let weak = Arc::downgrade(&first);
         drop((first, second));
         assert!(weak.upgrade().is_none(), "the memo holds no strong reference");
         // The next insert prunes the dead entry.
-        let _other = compile_shared(&stencil(3 << 24, 64, 3), 8);
+        let _other = compile_shared(&stencil(3 << 24, 64, 3), 8, Policy::Full);
         assert!(!has_entry(&program, 8), "the dead entry was pruned");
         // A later caller simply compiles afresh.
-        assert_eq!(*compile_shared(&program, 8), compile(&program, 8));
+        assert_eq!(*compile_shared(&program, 8, Policy::Full), compile(&program, 8));
     }
 
     #[test]
@@ -176,7 +199,7 @@ mod tests {
                 .map(|_| {
                     s.spawn(|| {
                         start.wait();
-                        compile_shared(&bad, 16)
+                        compile_shared(&bad, 16, Policy::Full)
                     })
                 })
                 .collect();
@@ -184,8 +207,8 @@ mod tests {
         });
         assert_eq!(outcomes, vec![true; 8], "every concurrent caller panics");
         // The failed key still panics, and a valid key is unaffected.
-        assert!(thread::spawn(move || compile_shared(&bad, 16)).join().is_err());
+        assert!(thread::spawn(move || compile_shared(&bad, 16, Policy::Full)).join().is_err());
         let good = stencil(4 << 24, 64, 2);
-        assert_eq!(*compile_shared(&good, 16), compile(&good, 16));
+        assert_eq!(*compile_shared(&good, 16, Policy::Full), compile(&good, 16));
     }
 }
