@@ -29,9 +29,11 @@ pub enum Issued {
 /// [`BoundaryOp::NeighborSync`] the returned handle is pending: compute on
 /// sections that were already local, then [`complete`] before touching the
 /// fetched data (a compiled plan's interior/edge split). Everything else
-/// finishes immediately.
+/// finishes immediately; a [`BoundaryOp::Local`] with no sections runs
+/// nothing.
 pub fn issue(p: &mut Process, op: &BoundaryOp) -> Issued {
     match op {
+        BoundaryOp::Local { prepare: false, sections } if sections.is_empty() => Issued::Done,
         BoundaryOp::Local { prepare, sections } => {
             if *prepare {
                 ctrt::validate(p, sections);
@@ -83,11 +85,8 @@ pub fn release(p: &mut Process, step: &PlanStep) {
 }
 
 /// Executes a plan's exit op after its last phase, re-warming the
-/// read-back's mappings. An exit with no sections — every
-/// [`Policy::Validate`](crate::Policy::Validate) plan's — runs nothing.
+/// read-back's mappings.
 pub fn exit(p: &mut Process, plan: &ProcPlan) {
-    if !matches!(&plan.exit, BoundaryOp::Local { sections, .. } if sections.is_empty()) {
-        let issued = issue(p, &plan.exit);
-        complete(p, issued);
-    }
+    let issued = issue(p, &plan.exit);
+    complete(p, issued);
 }

@@ -142,8 +142,7 @@ pub struct ProcPlan {
     pub steps: Vec<PlanStep>,
     /// Executed after the last phase: re-warms the processor's own blocks
     /// for the result read-back (pushes stale every cached mapping). Has no
-    /// sections, and [`exec::exit`](crate::exec::exit) runs nothing, under
-    /// [`Policy::Validate`].
+    /// sections under [`Policy::Validate`].
     pub exit: BoundaryOp,
 }
 

@@ -17,8 +17,6 @@
 //! * **Determinism** — the drained report list is byte-identical across
 //!   repeated runs.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use pagedmem::{PageId, PAGE_SIZE};
 use sp2model::CostModel;
 use treadmarks::{
@@ -29,15 +27,6 @@ const ELEMS: usize = PAGE_SIZE / 8;
 
 fn detecting(n: usize) -> DsmConfig {
     DsmConfig::new(n).with_cost_model(CostModel::free()).with_race_detect(RaceDetect::Collect)
-}
-
-/// Spins until another processor's compute thread sets `flag`. Protocol
-/// requests are served by the reactor pool, never by the waiting compute
-/// thread, so the setter always makes progress.
-fn wait_for(flag: &AtomicBool) {
-    while !flag.load(Ordering::Acquire) {
-        std::thread::yield_now();
-    }
 }
 
 fn first_page(a: &SharedArray<u64>) -> PageId {
@@ -118,21 +107,17 @@ fn unsynchronized_write_before_an_acquire_is_reported_at_the_grant() {
     // everything that follows. The pre-merge timestamp snapshot carried by
     // the pending sync is what keeps this detectable at the grant.
     const LOCK: LockId = 0;
-    let released = AtomicBool::new(false);
     let run = Dsm::run(detecting(2), |p| {
         let a = p.alloc_array::<u64>(ELEMS);
         if p.proc_id() == 0 {
             p.lock_acquire(LOCK);
             p.set(&a, 1, 41);
             p.lock_release(LOCK);
-            released.store(true, Ordering::Release);
         } else {
             p.set(&a, 1, 7); // unsynchronized: the race
-                             // Order the acquires so the grant carries the releaser's diff
-                             // deterministically: in virtual time, and in host time too,
-                             // because the lock manager grants in request-arrival order.
+                             // Order the acquires in virtual time so the grant carries the
+                             // releaser's diff deterministically.
             p.compute(sp2model::VirtualTime::from_millis(1));
-            wait_for(&released);
             p.fetch_diffs_w_sync(SyncOp::Lock(LOCK), &[a.full_range()]);
             p.lock_release(LOCK);
         }
@@ -158,21 +143,17 @@ fn unsynchronized_write_before_an_acquire_is_reported_on_a_later_demand_fetch() 
     // unflushed pre-acquire write visible as concurrent on the demand
     // fetch.
     const LOCK: LockId = 0;
-    let released = AtomicBool::new(false);
     let run = Dsm::run(detecting(2), |p| {
         let a = p.alloc_array::<u64>(ELEMS);
         if p.proc_id() == 0 {
             p.lock_acquire(LOCK);
             p.set(&a, 1, 41);
             p.lock_release(LOCK);
-            released.store(true, Ordering::Release);
         } else {
             p.set(&a, 1, 7); // unsynchronized: the race
-                             // Order the acquires in virtual and host time (see above) so
-                             // processor 0's critical section deterministically precedes
-                             // this one.
+                             // Order the acquires in virtual time so processor 0's
+                             // critical section deterministically precedes this one.
             p.compute(sp2model::VirtualTime::from_millis(1));
-            wait_for(&released);
             p.lock_acquire(LOCK); // no sync pages: nothing piggybacks
             let _ = p.get(&a, 1); // demand fetch pulls the releaser's diff
             p.lock_release(LOCK);
