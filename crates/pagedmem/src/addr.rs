@@ -24,21 +24,25 @@ impl Addr {
     }
 
     /// The raw byte offset.
+    #[inline]
     pub const fn as_usize(self) -> usize {
         self.0
     }
 
     /// Offset of this address within its page.
+    #[inline]
     pub const fn page_offset(self) -> usize {
         self.0 % PAGE_SIZE
     }
 
     /// The page containing this address.
+    #[inline]
     pub fn page(self) -> PageId {
         PageId::containing(self)
     }
 
     /// Address advanced by `bytes`.
+    #[inline]
     pub const fn offset(self, bytes: usize) -> Addr {
         Addr(self.0 + bytes)
     }

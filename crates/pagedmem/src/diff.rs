@@ -9,11 +9,15 @@
 //! accumulation* pathology the paper observes for IS.
 
 use std::fmt;
+use std::ops::Range;
 
-use crate::{MemError, PAGE_SIZE};
+use crate::{MemError, PageFrame, PAGE_SIZE};
 
 /// Comparison granularity in bytes (one 32-bit word, as in TreadMarks).
 const WORD: usize = 4;
+
+/// The scan's stride: two words compared at once.
+const BLOCK: usize = 2 * WORD;
 
 /// A run of modified bytes within a page.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,30 +58,51 @@ impl Diff {
     pub fn create(twin: &[u8], current: &[u8]) -> Diff {
         assert_eq!(twin.len(), PAGE_SIZE, "twin must be a whole page");
         assert_eq!(current.len(), PAGE_SIZE, "page must be a whole page");
-        const BLOCK: usize = 2 * WORD;
+        let blocks = current.as_chunks::<BLOCK>().0.iter().map(|b| u64::from_le_bytes(*b));
+        Diff::scan(twin, blocks, |run| current[run].to_vec())
+    }
+
+    /// [`create`](Self::create) against a live frame: its words are compared
+    /// in place, and only the changed runs are copied out.
+    pub(crate) fn create_from_frame(twin: &[u8], frame: &PageFrame) -> Diff {
+        assert_eq!(twin.len(), PAGE_SIZE, "twin must be a whole page");
+        Diff::scan(twin, frame.words(), |run| {
+            let mut data = vec![0u8; run.len()];
+            frame.read(run.start, &mut data);
+            data
+        })
+    }
+
+    /// The scan behind both constructors: `current` yields the page's
+    /// 8-byte blocks (little endian), `run_bytes` copies out a changed run.
+    fn scan(
+        twin: &[u8],
+        current: impl Iterator<Item = u64>,
+        run_bytes: impl Fn(Range<usize>) -> Vec<u8>,
+    ) -> Diff {
         let mut runs = Vec::new();
+        let mut close = |start: usize, end: usize| {
+            runs.push(Run { offset: start as u32, data: run_bytes(start..end) });
+        };
         let mut run_start: Option<usize> = None;
-        for block in 0..PAGE_SIZE / BLOCK {
+        let twin = twin.as_chunks::<BLOCK>().0.iter().map(|b| u64::from_le_bytes(*b));
+        for (block, (t, c)) in twin.zip(current).enumerate() {
             let lo = block * BLOCK;
-            let t = u64::from_le_bytes(twin[lo..lo + BLOCK].try_into().expect("8-byte block"));
-            let c = u64::from_le_bytes(current[lo..lo + BLOCK].try_into().expect("8-byte block"));
-            if t == c {
+            let changed = t ^ c;
+            if changed == 0 {
                 // Both words are clean; a run open at this point ends exactly
                 // where the word-by-word scan would have ended it.
                 if let Some(start) = run_start.take() {
-                    runs.push(Run { offset: start as u32, data: current[start..lo].to_vec() });
+                    close(start, lo);
                 }
                 continue;
             }
-            for word_lo in [lo, lo + WORD] {
-                let differs = twin[word_lo..word_lo + WORD] != current[word_lo..word_lo + WORD];
+            // The low half of the little-endian block is the word at `lo`.
+            for (word_lo, differs) in [(lo, changed as u32 != 0), (lo + WORD, changed >> 32 != 0)] {
                 match (differs, run_start) {
                     (true, None) => run_start = Some(word_lo),
                     (false, Some(start)) => {
-                        runs.push(Run {
-                            offset: start as u32,
-                            data: current[start..word_lo].to_vec(),
-                        });
+                        close(start, word_lo);
                         run_start = None;
                     }
                     _ => {}
@@ -85,7 +110,7 @@ impl Diff {
             }
         }
         if let Some(start) = run_start {
-            runs.push(Run { offset: start as u32, data: current[start..PAGE_SIZE].to_vec() });
+            close(start, PAGE_SIZE);
         }
         Diff { runs }
     }
@@ -111,6 +136,14 @@ impl Diff {
             page[start..start + run.data.len()].copy_from_slice(&run.data);
         }
         Ok(())
+    }
+
+    /// Applies the diff to a live frame, writing each run straight into its
+    /// words.
+    pub(crate) fn apply_to_frame(&self, frame: &PageFrame) {
+        for run in &self.runs {
+            frame.write(run.offset as usize, &run.data);
+        }
     }
 
     /// Whether the diff records no modifications.
@@ -193,6 +226,20 @@ mod tests {
         let diff = Diff::create(&twin, &twin);
         assert!(diff.is_empty());
         assert_eq!(diff.encoded_bytes(), 0);
+    }
+
+    #[test]
+    fn a_frame_diffs_exactly_like_its_bytes() {
+        let twin = page_with(&[(0, 1), (9, 2)]);
+        let mut current = twin.clone();
+        // Runs that start and end inside 8-byte blocks, span blocks and
+        // touch the last word.
+        for i in [0, 4, 5, 12, 13, 16, 200, 4091, 4095] {
+            current[i] ^= 0x5a;
+        }
+        let frame = PageFrame::new(crate::Protection::ReadWrite);
+        frame.write(0, &current);
+        assert_eq!(Diff::create_from_frame(&twin, &frame), Diff::create(&twin, &current));
     }
 
     #[test]

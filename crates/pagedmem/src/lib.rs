@@ -10,8 +10,8 @@
 //!
 //! * [`Page`], [`PageId`], [`Protection`] — fixed-size pages with protection
 //!   state,
-//! * [`PageTable`] — one per node, mapping page ids to frames with optional
-//!   twins,
+//! * [`PageTable`] — one per node, mapping page ids to single-writer
+//!   [`PageFrame`]s with optional twins,
 //! * [`Diff`] — creation, application and merging of word-granularity diffs,
 //! * [`Addr`], [`AddrRange`] — byte addressing within the shared space, and
 //! * [`SharedAlloc`] — the deterministic bump allocator used by every node to
@@ -36,6 +36,7 @@ mod addr;
 mod alloc;
 mod diff;
 mod error;
+mod frame;
 mod page;
 mod table;
 
@@ -43,5 +44,6 @@ pub use addr::{Addr, AddrRange};
 pub use alloc::SharedAlloc;
 pub use diff::Diff;
 pub use error::MemError;
+pub use frame::{FrameRef, PageFrame};
 pub use page::{Page, PageId, Protection, PAGE_SIZE};
-pub use table::{AccessFault, AccessOutcome, EpochProbe, FrameRef, PageFrame, PageTable};
+pub use table::{AccessFault, AccessOutcome, EpochProbe, PageTable};

@@ -18,6 +18,7 @@ pub struct PageId(pub usize);
 
 impl PageId {
     /// The page containing byte address `addr`.
+    #[inline]
     pub fn containing(addr: Addr) -> PageId {
         PageId(addr.as_usize() / PAGE_SIZE)
     }
@@ -120,13 +121,26 @@ pub enum Protection {
 
 impl Protection {
     /// Whether a read access is allowed without faulting.
+    #[inline]
     pub fn allows_read(self) -> bool {
         matches!(self, Protection::ReadOnly | Protection::ReadWrite)
     }
 
     /// Whether a write access is allowed without faulting.
+    #[inline]
     pub fn allows_write(self) -> bool {
         matches!(self, Protection::ReadWrite)
+    }
+
+    /// The state whose discriminant (`state as u8`) is `byte`.
+    #[inline]
+    pub(crate) fn from_u8(byte: u8) -> Protection {
+        match byte {
+            0 => Protection::Unmapped,
+            1 => Protection::Invalid,
+            2 => Protection::ReadOnly,
+            _ => Protection::ReadWrite,
+        }
     }
 }
 

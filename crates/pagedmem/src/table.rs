@@ -1,20 +1,23 @@
 //! Per-node page tables.
 //!
-//! The table has two levels of locking, mirroring the structure of a real
-//! fine-granularity DSM fast path:
+//! The table is the node's page-id → frame map, guarded by the **table
+//! lock** (taken by whoever owns the `PageTable`, typically a node-level
+//! mutex). Each mapped page has an entry holding its [`PageFrame`] (live
+//! bytes and protection) and the protocol bookkeeping only the table lock
+//! guards: the twin and the dirty flag.
 //!
-//! * the **table lock** (taken by whoever owns the `PageTable`, typically a
-//!   node-level mutex) protects the page-id → frame mapping, and
-//! * a **per-frame lock** protects each frame's contents, protection state,
-//!   twin and dirty flag.
+//! Frames themselves take no lock. Only the owning node's compute thread
+//! writes a frame, and every other reader (the node's protocol server,
+//! shipping a whole page) reads it under the table lock; see
+//! [`PageFrame`] for why relaxed word loads and stores are enough.
 //!
 //! A [`FrameRef`] is a shared handle onto one frame. Frame handles are
-//!  stable: once a page is mapped, its `Arc` identity never changes (
+//! stable: once a page is mapped, its `Arc` identity never changes (
 //! [`install`](PageTable::install) and [`map_zeroed`](PageTable::map_zeroed)
 //! mutate the existing frame in place), so a cached handle always observes
 //! the frame's *current* protection. That is what makes a software TLB above
 //! this table sound: a cached mapping can be used without the table lock,
-//! because the per-frame protection re-check still sees every downgrade.
+//! because the frame's protection re-check still sees every downgrade.
 //!
 //! The table additionally maintains a monotone **protection epoch**: a
 //! counter bumped on every protection or validity change (mapping a page,
@@ -27,38 +30,40 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dsm_core::sync::Mutex;
+use crate::{
+    Addr, AddrRange, Diff, FrameRef, MemError, Page, PageFrame, PageId, Protection, PAGE_SIZE,
+};
 
-use crate::{Addr, AddrRange, Diff, MemError, Page, PageId, Protection, PAGE_SIZE};
-
-/// One mapped page on a node: its contents, protection state, optional twin
-/// and dirty flag.
+/// One mapped page: its frame plus the bookkeeping guarded by the table
+/// lock.
 #[derive(Debug)]
-pub struct PageFrame {
-    /// Current contents of the page.
-    pub page: Page,
-    /// Protection / validity state.
-    pub protection: Protection,
+struct Entry {
+    frame: FrameRef,
     /// Twin saved when the page became writable (absent when twinning was
     /// bypassed via `WRITE_ALL`).
-    pub twin: Option<Page>,
+    twin: Option<Page>,
     /// Whether the page has been write-enabled since the last flush; dirty
     /// pages are diffed at release/barrier time.
-    pub dirty: bool,
+    dirty: bool,
 }
 
-impl PageFrame {
-    fn new(page: Page, protection: Protection) -> PageFrame {
-        PageFrame { page, protection, twin: None, dirty: false }
+impl Entry {
+    fn new(protection: Protection) -> Entry {
+        Entry { frame: Arc::new(PageFrame::new(protection)), twin: None, dirty: false }
+    }
+
+    /// Applies a remote diff to the frame and, if the page has one, to the
+    /// twin: the twin records the pre-*local*-modification state, so remote
+    /// diffs must land there too or they would be re-reported as local
+    /// writes.
+    fn apply(&mut self, diff: &Diff) -> Result<(), MemError> {
+        diff.apply_to_frame(&self.frame);
+        if let Some(twin) = self.twin.as_mut() {
+            diff.apply(twin.as_mut_slice())?;
+        }
+        Ok(())
     }
 }
-
-/// A shared, individually lockable handle onto one page frame.
-///
-/// Obtained from [`PageTable::frame`] / [`PageTable::frame_or_map`]; the
-/// handle stays valid (and observes all later protection changes) for the
-/// lifetime of the table.
-pub type FrameRef = Arc<Mutex<PageFrame>>;
 
 /// The result of checking whether an access may proceed without a fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,6 +117,7 @@ pub struct EpochProbe {
 
 impl EpochProbe {
     /// The table's current protection epoch.
+    #[inline]
     pub fn current(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
@@ -126,7 +132,7 @@ impl EpochProbe {
 /// runtime crates.
 #[derive(Debug, Default)]
 pub struct PageTable {
-    frames: BTreeMap<PageId, FrameRef>,
+    frames: BTreeMap<PageId, Entry>,
     epoch: Arc<AtomicU64>,
 }
 
@@ -165,7 +171,7 @@ impl PageTable {
     /// The protection state of `page` (`Unmapped` if the node never touched
     /// it).
     pub fn protection(&self, page: PageId) -> Protection {
-        self.frames.get(&page).map_or(Protection::Unmapped, |f| f.lock().protection)
+        self.frames.get(&page).map_or(Protection::Unmapped, |e| e.frame.protection())
     }
 
     /// Checks whether an access may proceed without a fault.
@@ -173,55 +179,44 @@ impl PageTable {
         AccessOutcome::of(self.protection(page), is_write)
     }
 
+    /// The entry of `page`, mapping it zero-filled with `protection` (and
+    /// bumping the epoch) if the node never touched it.
+    fn entry_or_map(&mut self, page: PageId, protection: Protection) -> &mut Entry {
+        let epoch = &self.epoch;
+        self.frames.entry(page).or_insert_with(|| {
+            epoch.fetch_add(1, Ordering::Release);
+            Entry::new(protection)
+        })
+    }
+
     /// Maps `page` zero-filled with the given protection. An existing frame
     /// is reset in place (contents zeroed, twin dropped, dirty cleared) so
     /// that outstanding [`FrameRef`]s keep observing the live frame.
     pub fn map_zeroed(&mut self, page: PageId, protection: Protection) -> FrameRef {
-        let frame = match self.frames.get(&page) {
-            Some(frame) => {
-                let mut guard = frame.lock();
-                guard.page = Page::zeroed();
-                guard.protection = protection;
-                guard.twin = None;
-                guard.dirty = false;
-                Arc::clone(frame)
-            }
-            None => {
-                let frame = Arc::new(Mutex::new(PageFrame::new(Page::zeroed(), protection)));
-                self.frames.insert(page, Arc::clone(&frame));
-                frame
-            }
-        };
+        let entry = self.entry_or_map(page, protection);
+        entry.frame.zero();
+        entry.frame.set_protection(protection);
+        entry.twin = None;
+        entry.dirty = false;
+        let frame = Arc::clone(&entry.frame);
         self.bump_epoch();
         frame
     }
 
     /// Installs a received copy of `page` with the given protection.
     pub fn install(&mut self, page: PageId, contents: Page, protection: Protection) {
-        let frame = self.frame_or_map_inner(page, protection);
-        let mut guard = frame.lock();
-        guard.page = contents;
-        guard.protection = protection;
-        guard.twin = None;
-        guard.dirty = false;
-        drop(guard);
+        let entry = self.entry_or_map(page, protection);
+        entry.frame.write(0, contents.as_slice());
+        entry.frame.set_protection(protection);
+        entry.twin = None;
+        entry.dirty = false;
         self.bump_epoch();
-    }
-
-    fn frame_or_map_inner(&mut self, page: PageId, protection: Protection) -> FrameRef {
-        if let Some(frame) = self.frames.get(&page) {
-            return Arc::clone(frame);
-        }
-        let frame = Arc::new(Mutex::new(PageFrame::new(Page::zeroed(), protection)));
-        self.frames.insert(page, Arc::clone(&frame));
-        self.bump_epoch();
-        frame
     }
 
     /// Returns the frame for `page`, mapping it zero-filled read-write if the
     /// node never touched it (used by the node that "owns" the initial data).
     pub fn frame_or_map(&mut self, page: PageId) -> FrameRef {
-        self.frame_or_map_inner(page, Protection::ReadWrite)
+        Arc::clone(&self.entry_or_map(page, Protection::ReadWrite).frame)
     }
 
     /// Returns the frame for `page`.
@@ -230,7 +225,7 @@ impl PageTable {
     ///
     /// Returns [`MemError::Unmapped`] if the page is not mapped.
     pub fn frame(&self, page: PageId) -> Result<FrameRef, MemError> {
-        self.frames.get(&page).map(Arc::clone).ok_or(MemError::Unmapped(page))
+        self.frames.get(&page).map(|e| Arc::clone(&e.frame)).ok_or(MemError::Unmapped(page))
     }
 
     /// Whether `page` is mapped at all.
@@ -241,41 +236,41 @@ impl PageTable {
     /// Sets the protection of `page`, mapping it zero-filled if necessary.
     /// The epoch is bumped only when the state actually changes.
     pub fn set_protection(&mut self, page: PageId, protection: Protection) {
-        let frame = self.frame_or_map_inner(page, protection);
-        let mut guard = frame.lock();
-        if guard.protection != protection {
-            guard.protection = protection;
-            drop(guard);
+        let frame = &self.entry_or_map(page, protection).frame;
+        if frame.protection() != protection {
+            frame.set_protection(protection);
             self.bump_epoch();
         }
     }
 
     /// Marks `page` dirty and returns whether it was already dirty.
     pub fn mark_dirty(&mut self, page: PageId) -> bool {
-        let frame = self.frame_or_map(page);
-        let mut guard = frame.lock();
-        std::mem::replace(&mut guard.dirty, true)
+        std::mem::replace(&mut self.entry_or_map(page, Protection::ReadWrite).dirty, true)
+    }
+
+    /// Whether `page` is on the dirty list.
+    pub fn is_dirty(&self, page: PageId) -> bool {
+        self.frames.get(&page).is_some_and(|e| e.dirty)
     }
 
     /// The pages currently on the dirty list, in address order.
     pub fn dirty_pages(&self) -> Vec<PageId> {
-        self.frames.iter().filter(|(_, f)| f.lock().dirty).map(|(&id, _)| id).collect()
+        self.frames.iter().filter(|(_, e)| e.dirty).map(|(&id, _)| id).collect()
     }
 
     /// Clears the dirty flag of `page`.
     pub fn clear_dirty(&mut self, page: PageId) {
-        if let Some(frame) = self.frames.get(&page) {
-            frame.lock().dirty = false;
+        if let Some(entry) = self.frames.get_mut(&page) {
+            entry.dirty = false;
         }
     }
 
     /// Creates a twin (pre-modification copy) for `page` if it does not have
     /// one. Returns whether a twin was created.
     pub fn make_twin(&mut self, page: PageId) -> bool {
-        let frame = self.frame_or_map(page);
-        let mut guard = frame.lock();
-        if guard.twin.is_none() {
-            guard.twin = Some(guard.page.clone());
+        let entry = self.entry_or_map(page, Protection::ReadWrite);
+        if entry.twin.is_none() {
+            entry.twin = Some(entry.frame.to_page());
             true
         } else {
             false
@@ -284,13 +279,13 @@ impl PageTable {
 
     /// Whether `page` currently has a twin.
     pub fn has_twin(&self, page: PageId) -> bool {
-        self.frames.get(&page).is_some_and(|f| f.lock().twin.is_some())
+        self.frames.get(&page).is_some_and(|e| e.twin.is_some())
     }
 
     /// Discards the twin of `page`, if any.
     pub fn drop_twin(&mut self, page: PageId) {
-        if let Some(frame) = self.frames.get(&page) {
-            frame.lock().twin = None;
+        if let Some(entry) = self.frames.get_mut(&page) {
+            entry.twin = None;
         }
     }
 
@@ -299,39 +294,29 @@ impl PageTable {
     /// Returns `None` if the page has no twin (nothing was recorded). The twin
     /// is left in place; callers decide when to retire it.
     pub fn create_diff(&self, page: PageId) -> Option<Diff> {
-        let frame = self.frames.get(&page)?;
-        let guard = frame.lock();
-        let twin = guard.twin.as_ref()?;
-        Some(Diff::create(twin.as_slice(), guard.page.as_slice()))
+        let entry = self.frames.get(&page)?;
+        let twin = entry.twin.as_ref()?;
+        Some(Diff::create_from_frame(twin.as_slice(), &entry.frame))
     }
 
-    /// Applies `diff` to the local copy of `page`, mapping it zero-filled if
-    /// the node never touched it.
+    /// Applies `diff` to the local copy of `page` (and to its twin, if it
+    /// has one), mapping it zero-filled if the node never touched it.
     ///
     /// # Errors
     ///
     /// Propagates [`MemError`] from the diff application.
     pub fn apply_diff(&mut self, page: PageId, diff: &Diff) -> Result<(), MemError> {
-        let frame = self.frame_or_map(page);
-        let mut guard = frame.lock();
-        diff.apply(guard.page.as_mut_slice())?;
-        // If the page had a twin, keep the twin coherent with the idea that it
-        // records the pre-*local*-modification state: remote diffs must also
-        // land in the twin so they are not re-reported as local writes.
-        if let Some(twin) = guard.twin.as_mut() {
-            diff.apply(twin.as_mut_slice())?;
-        }
-        Ok(())
+        self.entry_or_map(page, Protection::ReadWrite).apply(diff)
     }
 
-    /// Applies a batch of diffs with **one frame resolution per page-run**:
-    /// consecutive records for the same page reuse the frame handle (and its
-    /// lock) instead of re-walking the table per record. This is the bulk
-    /// entry point the runtime's synchronization-point batching builds on —
-    /// all diffs collected at one barrier or lock acquire are applied in a
-    /// single pass. Callers are expected to pre-sort the batch (same-page
-    /// records adjacent, causal order within a page); the method applies
-    /// records exactly in the order given.
+    /// Applies a batch of diffs with **one entry resolution per page-run**:
+    /// consecutive records for the same page reuse the entry instead of
+    /// re-walking the table per record. This is the bulk entry point the
+    /// runtime's synchronization-point batching builds on — all diffs
+    /// collected at one barrier or lock acquire are applied in a single
+    /// pass. Callers are expected to pre-sort the batch (same-page records
+    /// adjacent, causal order within a page); the method applies records
+    /// exactly in the order given.
     ///
     /// # Errors
     ///
@@ -341,21 +326,13 @@ impl PageTable {
     where
         I: IntoIterator<Item = (PageId, &'a Diff)>,
     {
-        let mut run: Option<(PageId, FrameRef)> = None;
+        let mut run: Option<(PageId, &mut Entry)> = None;
         for (page, diff) in records {
-            let frame = match &run {
-                Some((current, frame)) if *current == page => Arc::clone(frame),
-                _ => {
-                    let frame = self.frame_or_map(page);
-                    run = Some((page, Arc::clone(&frame)));
-                    frame
-                }
-            };
-            let mut guard = frame.lock();
-            diff.apply(guard.page.as_mut_slice())?;
-            if let Some(twin) = guard.twin.as_mut() {
-                diff.apply(twin.as_mut_slice())?;
+            if run.as_ref().is_none_or(|(current, _)| *current != page) {
+                run = Some((page, self.entry_or_map(page, Protection::ReadWrite)));
             }
+            let (_, entry) = run.as_mut().expect("the run was resolved above");
+            entry.apply(diff)?;
         }
         Ok(())
     }
@@ -368,15 +345,12 @@ impl PageTable {
         let mut cursor = addr;
         let mut filled = 0;
         while filled < buf.len() {
-            let page = cursor.page();
             let offset = cursor.page_offset();
             let chunk = (PAGE_SIZE - offset).min(buf.len() - filled);
-            match self.frames.get(&page) {
-                Some(frame) => {
-                    buf[filled..filled + chunk]
-                        .copy_from_slice(&frame.lock().page.as_slice()[offset..offset + chunk]);
-                }
-                None => buf[filled..filled + chunk].fill(0),
+            let out = &mut buf[filled..filled + chunk];
+            match self.frames.get(&cursor.page()) {
+                Some(entry) => entry.frame.read(offset, out),
+                None => out.fill(0),
             }
             filled += chunk;
             cursor = cursor.offset(chunk);
@@ -388,12 +362,10 @@ impl PageTable {
         let mut cursor = addr;
         let mut written = 0;
         while written < data.len() {
-            let page = cursor.page();
             let offset = cursor.page_offset();
             let chunk = (PAGE_SIZE - offset).min(data.len() - written);
-            let frame = self.frame_or_map(page);
-            frame.lock().page.as_mut_slice()[offset..offset + chunk]
-                .copy_from_slice(&data[written..written + chunk]);
+            let entry = self.entry_or_map(cursor.page(), Protection::ReadWrite);
+            entry.frame.write(offset, &data[written..written + chunk]);
             written += chunk;
             cursor = cursor.offset(chunk);
         }
@@ -409,18 +381,14 @@ impl PageTable {
         let mut cursor = addr;
         let mut written = 0;
         while written < data.len() {
-            let page = cursor.page();
             let offset = cursor.page_offset();
             let chunk = (PAGE_SIZE - offset).min(data.len() - written);
-            let frame = self.frame_or_map(page);
-            let mut guard = frame.lock();
-            guard.page.as_mut_slice()[offset..offset + chunk]
-                .copy_from_slice(&data[written..written + chunk]);
-            if let Some(twin) = guard.twin.as_mut() {
-                twin.as_mut_slice()[offset..offset + chunk]
-                    .copy_from_slice(&data[written..written + chunk]);
+            let bytes = &data[written..written + chunk];
+            let entry = self.entry_or_map(cursor.page(), Protection::ReadWrite);
+            entry.frame.write(offset, bytes);
+            if let Some(twin) = entry.twin.as_mut() {
+                twin.as_mut_slice()[offset..offset + chunk].copy_from_slice(bytes);
             }
-            drop(guard);
             written += chunk;
             cursor = cursor.offset(chunk);
         }
@@ -445,21 +413,10 @@ impl PageTable {
         let mut cursor = range.start();
         let mut filled = 0;
         while filled < buf.len() {
-            let page = cursor.page();
+            let frame = self.checked_frame(cursor.page(), false)?;
             let offset = cursor.page_offset();
             let chunk = (PAGE_SIZE - offset).min(buf.len() - filled);
-            let Some(frame) = self.frames.get(&page) else {
-                return Err(AccessFault { page, outcome: AccessOutcome::Unmapped });
-            };
-            let guard = frame.lock();
-            if !guard.protection.allows_read() {
-                return Err(AccessFault {
-                    page,
-                    outcome: AccessOutcome::of(guard.protection, false),
-                });
-            }
-            buf[filled..filled + chunk]
-                .copy_from_slice(&guard.page.as_slice()[offset..offset + chunk]);
+            frame.read(offset, &mut buf[filled..filled + chunk]);
             filled += chunk;
             cursor = cursor.offset(chunk);
         }
@@ -484,25 +441,24 @@ impl PageTable {
         let mut cursor = range.start();
         let mut written = 0;
         while written < data.len() {
-            let page = cursor.page();
+            let frame = self.checked_frame(cursor.page(), true)?;
             let offset = cursor.page_offset();
             let chunk = (PAGE_SIZE - offset).min(data.len() - written);
-            let Some(frame) = self.frames.get(&page) else {
-                return Err(AccessFault { page, outcome: AccessOutcome::Unmapped });
-            };
-            let mut guard = frame.lock();
-            if !guard.protection.allows_write() {
-                return Err(AccessFault {
-                    page,
-                    outcome: AccessOutcome::of(guard.protection, true),
-                });
-            }
-            guard.page.as_mut_slice()[offset..offset + chunk]
-                .copy_from_slice(&data[written..written + chunk]);
+            frame.write(offset, &data[written..written + chunk]);
             written += chunk;
             cursor = cursor.offset(chunk);
         }
         Ok(())
+    }
+
+    /// The frame of `page` if its protection allows the access.
+    fn checked_frame(&self, page: PageId, is_write: bool) -> Result<&PageFrame, AccessFault> {
+        let frame = self.frames.get(&page).map(|e| &e.frame);
+        let protection = frame.map_or(Protection::Unmapped, |f| f.protection());
+        match (frame, AccessOutcome::of(protection, is_write)) {
+            (Some(frame), AccessOutcome::Hit) => Ok(frame),
+            (_, outcome) => Err(AccessFault { page, outcome }),
+        }
     }
 
     /// Copies the bytes of `range` out of the table (unmapped bytes read as
@@ -693,10 +649,71 @@ mod tests {
         table.install(page, incoming, Protection::ReadOnly);
         let again = table.frame(page).unwrap();
         assert!(Arc::ptr_eq(&frame, &again), "install must not replace the frame");
-        assert_eq!(frame.lock().protection, Protection::ReadOnly);
-        assert_eq!(frame.lock().page.as_slice()[7], 9);
+        assert_eq!(frame.protection(), Protection::ReadOnly);
+        assert_eq!(frame.to_page().as_slice()[7], 9);
         table.map_zeroed(page, Protection::Invalid);
-        assert_eq!(frame.lock().protection, Protection::Invalid);
+        assert_eq!(frame.protection(), Protection::Invalid);
+    }
+
+    #[test]
+    fn a_full_page_read_under_the_table_lock_sees_only_written_elements() {
+        // The single-writer rule: the compute thread stores elements straight
+        // into a frame it holds (a TLB hit), while the server copies the whole
+        // page out under the table lock (a full-page diff). Every aligned
+        // element the copy sees must be one the writer stored.
+        const ROUNDS: u64 = 2_000;
+        const HALF: usize = PAGE_SIZE / 2;
+        // Each value carries its round at both ends, so a mix of two stores
+        // is never a value that was written.
+        let wide = |round: u64, slot: usize| round << 40 | (slot as u64) << 20 | round;
+        let narrow = |round: u64, slot: usize| (round << 21 | (slot as u64) << 11 | round) as u32;
+        let check = |bytes: &[u8], last: Option<u64>| {
+            for (slot, word) in bytes[..HALF].chunks_exact(8).enumerate() {
+                let value = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+                let round = value >> 40;
+                let written = (1..=ROUNDS).contains(&round) && value == wide(round, slot);
+                assert!(value == 0 || written, "u64 slot {slot} holds {value:#x}");
+                assert!(last.is_none_or(|round| value == wide(round, slot)));
+            }
+            for (slot, word) in bytes[HALF..].chunks_exact(4).enumerate() {
+                let value = u32::from_le_bytes(word.try_into().expect("4 bytes"));
+                let round = u64::from(value >> 21);
+                let written = (1..=ROUNDS).contains(&round) && value == narrow(round, slot);
+                assert!(value == 0 || written, "u32 slot {slot} holds {value:#x}");
+                assert!(last.is_none_or(|round| value == narrow(round, slot)));
+            }
+        };
+
+        let page = PageId(5);
+        let table = dsm_core::sync::Mutex::new(PageTable::new());
+        let frame = table.lock().map_zeroed(page, Protection::ReadWrite);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let mut copy = [0u8; PAGE_SIZE];
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for round in 1..=ROUNDS {
+                    for slot in 0..HALF / 8 {
+                        frame.store(slot * 8, 8, wide(round, slot));
+                    }
+                    for slot in 0..HALF / 4 {
+                        frame.store(HALF + slot * 4, 4, u64::from(narrow(round, slot)));
+                    }
+                }
+                done.store(true, Ordering::Release);
+            });
+            loop {
+                let finished = done.load(Ordering::Acquire);
+                table.lock().read_bytes(page.base(), &mut copy);
+                check(&copy, None);
+                if finished {
+                    break;
+                }
+            }
+        });
+        // Once the writer is done, every element holds its last value: no
+        // sub-word store clobbered a neighbour sharing its word.
+        table.lock().read_bytes(page.base(), &mut copy);
+        check(&copy, Some(ROUNDS));
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //!   the paper, out of which the `ctrt` crate composes the compiler-visible
 //!   `Validate` / `Validate_w_sync` / `Push` interface.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
@@ -247,6 +248,21 @@ fn contiguous_runs(pages: &[PageId]) -> u64 {
     runs
 }
 
+/// Reads the element of type `T` at byte `offset` of `frame` (the element
+/// lies within the page).
+#[inline]
+fn load<T: Shareable>(frame: &PageFrame, offset: usize) -> T {
+    T::load(&frame.load(offset, T::BYTES).to_le_bytes())
+}
+
+/// Writes `value` as the element at byte `offset` of `frame`.
+#[inline]
+fn store<T: Shareable>(frame: &PageFrame, offset: usize, value: T) {
+    let mut bytes = [0u8; 8];
+    value.store(&mut bytes);
+    frame.store(offset, T::BYTES, u64::from_le_bytes(bytes));
+}
+
 /// What [`apply_notices_locked`] did, for cost charging after the hold.
 struct NoticeTally {
     recorded: u64,
@@ -403,7 +419,7 @@ fn warm_ranges_locked(
     for &(range, is_write) in warm {
         for page in range.pages() {
             let Ok(frame) = table.frame(page) else { continue };
-            let protection = frame.lock().protection;
+            let protection = frame.protection();
             let allowed =
                 if is_write { protection.allows_write() } else { protection.allows_read() };
             if !allowed {
@@ -520,6 +536,10 @@ pub struct Process {
     tlb: SoftTlb,
     /// Lock-free view of the table's protection epoch.
     epoch: EpochProbe,
+    /// TLB hits not yet published to the shared `tlb_hits` counter. Only
+    /// this processor counts hits, so a plain counter replaces a shared
+    /// `fetch_add` per access; [`Process::stats`] and `Drop` publish it.
+    unpublished_hits: Cell<u64>,
     /// How many barriers this processor has entered. Barriers are globally
     /// matched, so the count names the same synchronization point on every
     /// processor; it sequences `SyncDiffs` responses (see
@@ -550,6 +570,7 @@ impl Process {
             next_req_id: 1,
             tlb: SoftTlb::new(),
             epoch,
+            unpublished_hits: Cell::new(0),
             barrier_seq: 0,
             nsync_seq: 0,
             barrier: config.barrier.resolve(config.nprocs, &config.cost_model),
@@ -571,9 +592,19 @@ impl Process {
         &self.clock
     }
 
-    /// The node's statistics counters (shared with its protocol server).
+    /// The node's statistics counters (shared with its protocol server),
+    /// with this processor's TLB hits published first.
     pub fn stats(&self) -> &sp2model::SharedStats {
+        self.publish_hits();
         &self.shared.stats
+    }
+
+    /// Adds the locally counted TLB hits to the shared counter.
+    fn publish_hits(&self) {
+        let hits = self.unpublished_hits.take();
+        if hits > 0 {
+            self.shared.stats.tlb_hits(hits);
+        }
     }
 
     /// The cluster cost model.
@@ -648,27 +679,21 @@ impl Process {
 
     /// Runs `f` on the frame of `page` with the access's legality
     /// established. The warm path revalidates a cached mapping against the
-    /// protection epoch and re-checks the frame's own protection under the
-    /// per-frame lock — **zero global-table-lock acquisitions**. The cold
-    /// path runs the fault handler and refills the TLB.
-    fn page_op<R>(
-        &mut self,
-        page: PageId,
-        is_write: bool,
-        f: impl FnOnce(&mut PageFrame) -> R,
-    ) -> R {
+    /// protection epoch and re-checks the frame's own protection — **no
+    /// lock and no atomic read-modify-write**: only this thread writes the
+    /// node's frames (`DESIGN.md` §3). The cold path runs the fault handler
+    /// and refills the TLB.
+    #[inline]
+    fn page_op<R>(&mut self, page: PageId, is_write: bool, f: impl FnOnce(&PageFrame) -> R) -> R {
         loop {
             let now = self.epoch.current();
             if let Some(frame) = self.tlb.probe(page, is_write, now) {
-                let mut guard = frame.lock();
-                let allowed = if is_write {
-                    guard.protection.allows_write()
-                } else {
-                    guard.protection.allows_read()
-                };
+                let protection = frame.protection();
+                let allowed =
+                    if is_write { protection.allows_write() } else { protection.allows_read() };
                 if allowed {
-                    self.shared.stats.tlb_hits(1);
-                    return f(&mut guard);
+                    self.unpublished_hits.set(self.unpublished_hits.get() + 1);
+                    return f(frame);
                 }
             }
             self.shared.stats.tlb_misses(1);
@@ -710,7 +735,7 @@ impl Process {
         let addr = array.addr_of(index);
         let offset = addr.page_offset();
         if offset + T::BYTES <= PAGE_SIZE {
-            self.page_op(addr.page(), false, |frame| T::load(&frame.page.as_slice()[offset..]))
+            self.page_op(addr.page(), false, |frame| load::<T>(frame, offset))
         } else {
             self.read_straddling(addr)
         }
@@ -722,9 +747,7 @@ impl Process {
         let addr = array.addr_of(index);
         let offset = addr.page_offset();
         if offset + T::BYTES <= PAGE_SIZE {
-            self.page_op(addr.page(), true, |frame| {
-                value.store(&mut frame.page.as_mut_slice()[offset..]);
-            });
+            self.page_op(addr.page(), true, |frame| store(frame, offset, value));
         } else {
             self.write_straddling(addr, value);
         }
@@ -757,9 +780,8 @@ impl Process {
                 continue;
             }
             self.page_op(addr.page(), false, |frame| {
-                let bytes = frame.page.as_slice();
                 for (k, slot) in out[filled..filled + fit].iter_mut().enumerate() {
-                    *slot = T::load(&bytes[offset + k * T::BYTES..]);
+                    *slot = load(frame, offset + k * T::BYTES);
                 }
             });
             idx += fit;
@@ -794,9 +816,8 @@ impl Process {
                 continue;
             }
             self.page_op(addr.page(), true, |frame| {
-                let bytes = frame.page.as_mut_slice();
-                for (k, value) in values[consumed..consumed + fit].iter().enumerate() {
-                    value.store(&mut bytes[offset + k * T::BYTES..]);
+                for (k, &value) in values[consumed..consumed + fit].iter().enumerate() {
+                    store(frame, offset + k * T::BYTES, value);
                 }
             });
             idx += fit;
@@ -834,7 +855,7 @@ impl Process {
                 continue;
             }
             // Consecutive columns whose element for this row lands on the
-            // same page form one run served under a single frame lock.
+            // same page form one run served by a single TLB probe.
             let mut run = 1;
             while col + run < cols.end
                 && stride > 0
@@ -843,9 +864,8 @@ impl Process {
                 run += 1;
             }
             self.page_op(addr.page(), true, |frame| {
-                let bytes = frame.page.as_mut_slice();
-                for (k, value) in values[consumed..consumed + run].iter().enumerate() {
-                    value.store(&mut bytes[offset + k * stride..]);
+                for (k, &value) in values[consumed..consumed + run].iter().enumerate() {
+                    store(frame, offset + k * stride, value);
                 }
             });
             col += run;
@@ -1286,7 +1306,7 @@ impl Process {
                 }
                 continue;
             }
-            let dirty = table.frame(page).map(|f| f.lock().dirty).unwrap_or(false);
+            let dirty = table.is_dirty(page);
             let target = if dirty { Protection::ReadWrite } else { Protection::ReadOnly };
             match table.protection(page) {
                 Protection::Unmapped => {
@@ -2399,7 +2419,7 @@ fn detect_races_locked(
         if !local_vt.concurrent(vq) {
             continue;
         }
-        let dirty = table.frame(record.page).map(|f| f.lock().dirty).unwrap_or(false);
+        let dirty = table.is_dirty(record.page);
         let local_ranges = if proto.write_all_pages.contains(&record.page) && dirty {
             Some(full_page())
         } else if dirty && table.has_twin(record.page) {
@@ -2444,7 +2464,7 @@ fn detect_push_races_locked(
     let me = proto.me;
     for &(from, range, _) in received {
         for page in range.pages() {
-            let dirty = table.frame(page).map(|f| f.lock().dirty).unwrap_or(false);
+            let dirty = table.is_dirty(page);
             if !dirty {
                 continue;
             }
@@ -2484,5 +2504,13 @@ impl fmt::Debug for Process {
             .field("nprocs", &self.nprocs())
             .field("now", &self.clock.now())
             .finish()
+    }
+}
+
+impl Drop for Process {
+    /// Publishes the hits counted since the last [`Process::stats`], so the
+    /// run's totals include every access.
+    fn drop(&mut self) {
+        self.publish_hits();
     }
 }

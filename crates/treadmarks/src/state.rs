@@ -300,17 +300,14 @@ impl ProtoState {
     }
 }
 
-/// The shared all-zeros page: the source for full-page diffs of pages this
-/// node never materialised, avoiding a fresh 4 KiB allocation per miss.
-static ZERO_PAGE: [u8; pagedmem::PAGE_SIZE] = [0u8; pagedmem::PAGE_SIZE];
-
-/// Creates a full-page diff from the node's current copy of `page`.
+/// Creates a full-page diff from the node's current copy of `page` (all
+/// zeros if the node never materialised it). The copy is taken under the
+/// table lock the caller holds, word by word; see `DESIGN.md` §3 for why
+/// no element the requester may see is torn.
 pub(crate) fn full_page_diff(table: &PageTable, page: PageId) -> Diff {
-    match table.frame(page) {
-        Ok(frame) => Diff::full_page(frame.lock().page.as_slice()),
-        // The page was never materialised locally (it is still all zeros).
-        Err(_) => Diff::full_page(&ZERO_PAGE),
-    }
+    let mut bytes = [0u8; pagedmem::PAGE_SIZE];
+    table.read_bytes(page.base(), &mut bytes);
+    Diff::full_page(&bytes)
 }
 
 /// Everything shared between a node's compute thread and its protocol-server

@@ -2,17 +2,18 @@
 //!
 //! Every checked access used to take the node's global page-table lock at
 //! least twice (protection check + byte copy). The software TLB removes
-//! both: it caches, per page, a [`FrameRef`] (the individually lockable
+//! both: it caches, per page, a [`FrameRef`] (the lock-free, single-writer
 //! frame handle from `pagedmem`) together with the protection epoch at
-//! which the mapping was observed and whether it was writable.
+//! which the mapping was observed and whether it was writable. A hit is an
+//! epoch load, this probe, the frame's protection re-check and one word
+//! load or store — no lock and no atomic read-modify-write.
 //!
 //! A probe is valid only while the table's protection epoch is unchanged —
 //! the epoch bumps on *every* protection or validity change (write-protect
 //! at flush, invalidate at acquire or barrier, push installs), so a stale
 //! entry can never satisfy a probe. Even if it somehow did, the access
-//! path re-checks the frame's own protection under the frame lock before
-//! touching bytes; see `DESIGN.md`, "The software TLB and why epochs are
-//! sufficient".
+//! path re-checks the frame's own protection before touching bytes; see
+//! `DESIGN.md`, "The software TLB and why epochs are sufficient".
 //!
 //! The cache is two-way set associative: page id modulo [`TLB_SETS`]
 //! selects a set, and within a set the insert evicts the entry observed at
@@ -60,6 +61,7 @@ impl SoftTlb {
 
     /// The cached frame for `page`, provided the entry was filled at the
     /// current protection `epoch` and allows the requested access.
+    #[inline]
     pub(crate) fn probe(&self, page: PageId, is_write: bool, epoch: u64) -> Option<&FrameRef> {
         self.sets[Self::set(page)].iter().find_map(|way| match way {
             Some(e) if e.page == page && e.epoch == epoch && (!is_write || e.writable) => {
@@ -80,13 +82,8 @@ impl SoftTlb {
             .position(|way| way.as_ref().is_some_and(|e| e.page == page))
             .or_else(|| set.iter().position(Option::is_none))
             .unwrap_or_else(|| {
-                let epochs: Vec<u64> =
-                    set.iter().map(|way| way.as_ref().map_or(0, |e| e.epoch)).collect();
-                if epochs[1] < epochs[0] {
-                    1
-                } else {
-                    0
-                }
+                let epoch = |way: &Option<TlbEntry>| way.as_ref().map_or(0, |e| e.epoch);
+                usize::from(epoch(&set[1]) < epoch(&set[0]))
             });
         set[victim] = Some(TlbEntry { page, frame, epoch, writable });
     }
@@ -95,17 +92,11 @@ impl SoftTlb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsm_core::sync::Mutex;
-    use pagedmem::{Page, PageFrame, Protection};
+    use pagedmem::{PageFrame, Protection};
     use std::sync::Arc;
 
     fn frame() -> FrameRef {
-        Arc::new(Mutex::new(PageFrame {
-            page: Page::zeroed(),
-            protection: Protection::ReadOnly,
-            twin: None,
-            dirty: false,
-        }))
+        Arc::new(PageFrame::new(Protection::ReadOnly))
     }
 
     #[test]

@@ -55,6 +55,44 @@ fn steady_state_valid_page_accesses_take_zero_table_locks() {
 }
 
 #[test]
+fn every_warm_access_is_counted_as_exactly_one_tlb_hit() {
+    // Hits are tallied per processor and published on `stats()` and when
+    // the processor is dropped: a publish lost on either path shows here.
+    const N: usize = 300;
+    const LATER: u64 = 50;
+    let run = Dsm::run(free_config(2), |p| {
+        let a = p.alloc_array::<u64>(2 * ELEMS_PER_PAGE);
+        let mine = p.proc_id() * ELEMS_PER_PAGE..(p.proc_id() + 1) * ELEMS_PER_PAGE;
+        for i in mine.clone() {
+            p.set(&a, i, i as u64);
+        }
+        for i in mine.clone() {
+            let _ = p.get(&a, i);
+        }
+        let before = p.stats().snapshot().tlb_hits;
+        for k in 0..N {
+            let i = mine.start + k % mine.len();
+            if k % 3 == 0 {
+                p.set(&a, i, k as u64);
+            } else {
+                let _ = p.get(&a, i);
+            }
+        }
+        let mid = p.stats().snapshot();
+        assert_eq!(mid.tlb_hits - before, N as u64, "each warm get/set is one hit");
+        // Hits after the last `stats()` call are published on drop.
+        for k in 0..LATER {
+            let _ = p.get(&a, mine.start + k as usize);
+        }
+        mid.tlb_hits + LATER
+    });
+    for (node, &hits) in run.stats.nodes().iter().zip(&run.results) {
+        assert_eq!(node.tlb_hits, hits, "the run's per-node count misses published hits");
+    }
+    assert_eq!(run.stats.total().tlb_hits, run.results.iter().sum::<u64>());
+}
+
+#[test]
 fn epoch_bumps_on_write_protect_and_stale_write_entries_refault() {
     Dsm::run(free_config(1), |p| {
         let a = p.alloc_array::<u64>(ELEMS_PER_PAGE);
